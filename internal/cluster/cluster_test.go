@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,7 +102,7 @@ func TestClusterBasicFlow(t *testing.T) {
 	gw := tc.gw
 	workers, tasks := testWorkload(t, 1, 12, 40)
 	for _, w := range workers {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatalf("AddWorker(%s): %v", w.ID, err)
 		}
 	}
@@ -109,7 +111,7 @@ func TestClusterBasicFlow(t *testing.T) {
 	}
 	assigned, buffered := 0, 0
 	for _, task := range tasks {
-		wid, err := gw.OfferTask(task)
+		wid, err := gw.OfferTaskCtx(context.Background(), task)
 		if err != nil {
 			t.Fatalf("OfferTask(%s): %v", task.ID, err)
 		}
@@ -134,7 +136,7 @@ func TestClusterBasicFlow(t *testing.T) {
 	}
 
 	// Duplicate offers are rejected without counting Submitted.
-	if _, err := gw.OfferTask(tasks[0]); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if _, err := gw.OfferTaskCtx(context.Background(), tasks[0]); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate offer: err = %v", err)
 	}
 	if got := gw.Stats().Submitted; got != int64(len(tasks)) {
@@ -157,7 +159,7 @@ func TestClusterBasicFlow(t *testing.T) {
 				if len(active) == 0 {
 					break
 				}
-				if _, err := gw.Complete(w.ID, active[0].ID); err != nil {
+				if _, err := gw.CompleteCtx(context.Background(), w.ID, active[0].ID); err != nil {
 					t.Fatalf("Complete(%s, %s): %v", w.ID, active[0].ID, err)
 				}
 				completed++
@@ -183,17 +185,17 @@ func TestClusterBasicFlow(t *testing.T) {
 func TestClusterErrorMapping(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 2, 1)
 	gw := tc.gw
-	if _, err := gw.Complete("ghost", "t"); err == nil || !strings.Contains(err.Error(), "unknown worker") {
+	if _, err := gw.CompleteCtx(context.Background(), "ghost", "t"); err == nil || !strings.Contains(err.Error(), "unknown worker") {
 		t.Fatalf("unknown worker error lost in transit: %v", err)
 	}
 	if _, err := gw.ActiveTasks("ghost"); err == nil || !strings.Contains(err.Error(), "unknown worker") {
 		t.Fatalf("ActiveTasks ghost: %v", err)
 	}
 	workers, tasks := testWorkload(t, 2, 1, 30)
-	if _, err := gw.AddWorker(workers[0]); err != nil {
+	if _, err := gw.AddWorkerCtx(context.Background(), workers[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gw.Complete(workers[0].ID, "never-offered"); err == nil || !strings.Contains(err.Error(), "not active") {
+	if _, err := gw.CompleteCtx(context.Background(), workers[0].ID, "never-offered"); err == nil || !strings.Contains(err.Error(), "not active") {
 		t.Fatalf("not-active error lost in transit: %v", err)
 	}
 	// Fill the single worker (Xmax=1) and both nodes' buffers (2 each):
@@ -202,7 +204,7 @@ func TestClusterErrorMapping(t *testing.T) {
 	accepted := 0
 	var sawFull bool
 	for _, task := range tasks {
-		_, err := gw.OfferTask(task)
+		_, err := gw.OfferTaskCtx(context.Background(), task)
 		switch {
 		case err == nil:
 			accepted++
@@ -232,7 +234,7 @@ func TestClusterConcurrentLoadConserves(t *testing.T) {
 	gw := tc.gw
 	workers, tasks := testWorkload(t, 3, 24, 600)
 	for _, w := range workers {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -246,7 +248,7 @@ func TestClusterConcurrentLoadConserves(t *testing.T) {
 		go func(d int) {
 			defer wg.Done()
 			for _, task := range tasks[d*perDriver : (d+1)*perDriver] {
-				if _, err := gw.OfferTask(task); err != nil && err != stream.ErrBufferFull {
+				if _, err := gw.OfferTaskCtx(context.Background(), task); err != nil && err != stream.ErrBufferFull {
 					t.Errorf("offer %s: %v", task.ID, err)
 					return
 				}
@@ -254,7 +256,7 @@ func TestClusterConcurrentLoadConserves(t *testing.T) {
 				if active, err := gw.ActiveTasks(w.ID); err == nil && len(active) > 0 {
 					// Completing a task another driver already completed is a
 					// legal race; only transport errors are failures.
-					if _, err := gw.Complete(w.ID, active[0].ID); err != nil &&
+					if _, err := gw.CompleteCtx(context.Background(), w.ID, active[0].ID); err != nil &&
 						!strings.Contains(err.Error(), "not active") {
 						t.Errorf("complete: %v", err)
 						return
@@ -281,12 +283,12 @@ func TestClusterFailoverRequeuesAndConserves(t *testing.T) {
 	gw := tc.gw
 	workers, tasks := testWorkload(t, 4, 18, 300)
 	for _, w := range workers {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, task := range tasks {
-		if _, err := gw.OfferTask(task); err != nil && err != stream.ErrBufferFull {
+		if _, err := gw.OfferTaskCtx(context.Background(), task); err != nil && err != stream.ErrBufferFull {
 			t.Fatalf("offer: %v", err)
 		}
 	}
@@ -327,7 +329,7 @@ func TestClusterFailoverRequeuesAndConserves(t *testing.T) {
 			continue // worker lived on the dead node
 		}
 		for len(active) > 0 {
-			if _, err := gw.Complete(w.ID, active[0].ID); err != nil {
+			if _, err := gw.CompleteCtx(context.Background(), w.ID, active[0].ID); err != nil {
 				t.Fatalf("post-failover complete: %v", err)
 			}
 			active, err = gw.ActiveTasks(w.ID)
@@ -347,12 +349,12 @@ func TestClusterAllNodesDead(t *testing.T) {
 	gw := tc.gw
 	workers, tasks := testWorkload(t, 5, 4, 20)
 	for _, w := range workers {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, task := range tasks[:10] {
-		if _, err := gw.OfferTask(task); err != nil {
+		if _, err := gw.OfferTaskCtx(context.Background(), task); err != nil {
 			t.Fatalf("offer: %v", err)
 		}
 	}
@@ -362,10 +364,10 @@ func TestClusterAllNodesDead(t *testing.T) {
 	if got := gw.Members(); len(got) != 0 {
 		t.Fatalf("members = %v, want none", got)
 	}
-	if _, err := gw.OfferTask(tasks[10]); err == nil {
+	if _, err := gw.OfferTaskCtx(context.Background(), tasks[10]); err == nil {
 		t.Fatal("offer succeeded with no live nodes")
 	}
-	if _, err := gw.AddWorker(workers[0]); err == nil {
+	if _, err := gw.AddWorkerCtx(context.Background(), workers[0]); err == nil {
 		t.Fatal("register succeeded with no live nodes")
 	}
 	// Everything pending died with the nodes: all non-completed submitted
@@ -382,12 +384,12 @@ func TestClusterJoinTakesNewWorkers(t *testing.T) {
 	workers, tasks := testWorkload(t, 6, 16, 60)
 	half := workers[:8]
 	for _, w := range half {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, task := range tasks[:30] {
-		if _, err := gw.OfferTask(task); err != nil && err != stream.ErrBufferFull {
+		if _, err := gw.OfferTaskCtx(context.Background(), task); err != nil && err != stream.ErrBufferFull {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +428,7 @@ func TestClusterJoinTakesNewWorkers(t *testing.T) {
 	}
 	// New workers spread over three nodes; some land on the joiner.
 	for _, w := range workers[8:] {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,7 +436,7 @@ func TestClusterJoinTakesNewWorkers(t *testing.T) {
 		t.Fatal("joined node received no new workers (16 post-join registrations)")
 	}
 	for _, task := range tasks[30:] {
-		if _, err := gw.OfferTask(task); err != nil && err != stream.ErrBufferFull {
+		if _, err := gw.OfferTaskCtx(context.Background(), task); err != nil && err != stream.ErrBufferFull {
 			t.Fatal(err)
 		}
 	}
@@ -452,12 +454,12 @@ func TestClusterSnapshotMergedCut(t *testing.T) {
 	gw := tc.gw
 	workers, tasks := testWorkload(t, 7, 9, 50)
 	for _, w := range workers {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, task := range tasks {
-		if _, err := gw.OfferTask(task); err != nil && err != stream.ErrBufferFull {
+		if _, err := gw.OfferTaskCtx(context.Background(), task); err != nil && err != stream.ErrBufferFull {
 			t.Fatal(err)
 		}
 	}
@@ -596,7 +598,7 @@ func TestPeerPipelineWindowRecoversAfterErrors(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.do(Op{Op: opWorkers}); err == nil {
+			if _, err := p.doCtx(context.Background(), Op{Op: opWorkers}); err == nil {
 				t.Error("op succeeded against a 500ing node")
 			}
 		}()
@@ -605,7 +607,7 @@ func TestPeerPipelineWindowRecoversAfterErrors(t *testing.T) {
 	failing.Store("on", false)
 	// Window slots must all be free again: window+1 concurrent ops succeed.
 	for i := 0; i < 3; i++ {
-		if _, err := p.do(Op{Op: opWorkers}); err != nil {
+		if _, err := p.doCtx(context.Background(), Op{Op: opWorkers}); err != nil {
 			t.Fatalf("op after recovery: %v", err)
 		}
 	}
@@ -620,12 +622,12 @@ func TestClusterTrustRoundTrip(t *testing.T) {
 	gw := tc.gw
 	workers, tasks := testWorkload(t, 13, 9, 30)
 	for _, w := range workers {
-		if _, err := gw.AddWorker(w); err != nil {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, task := range tasks {
-		if _, err := gw.OfferTask(task); err != nil && err != stream.ErrBufferFull {
+		if _, err := gw.OfferTaskCtx(context.Background(), task); err != nil && err != stream.ErrBufferFull {
 			t.Fatal(err)
 		}
 	}
@@ -685,4 +687,159 @@ func TestClusterTrustRoundTrip(t *testing.T) {
 	if seen != len(want) {
 		t.Fatalf("restored cuts cover %d workers, want %d", seen, len(want))
 	}
+}
+
+// TestGatewayClosedRejectsOperations mirrors shard's
+// TestClosedEngineRejectsOperations: after Close every operation returns
+// shard.ErrClosed, not a peer-down error from the closed RPC layer.
+func TestGatewayClosedRejectsOperations(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 4, 2)
+	gw := tc.gw
+	ctx := context.Background()
+	workers, tasks := testWorkload(t, 1, 1, 1)
+	if _, err := gw.AddWorkerCtx(ctx, workers[0]); err != nil {
+		t.Fatal(err)
+	}
+	gw.Close()
+	id := workers[0].ID
+	ops := map[string]func() error{
+		"OfferTaskCtx":    func() error { _, err := gw.OfferTaskCtx(ctx, tasks[0]); return err },
+		"AddWorkerCtx":    func() error { _, err := gw.AddWorkerCtx(ctx, workers[0]); return err },
+		"RemoveWorkerCtx": func() error { _, err := gw.RemoveWorkerCtx(ctx, id); return err },
+		"CompleteCtx":     func() error { _, err := gw.CompleteCtx(ctx, id, tasks[0].ID); return err },
+		"ActiveTasks":     func() error { _, err := gw.ActiveTasks(id); return err },
+		"Worker":          func() error { _, err := gw.Worker(id); return err },
+		"Completed":       func() error { _, err := gw.Completed(id); return err },
+		"Trust":           func() error { _, err := gw.Trust(id); return err },
+		"SetTrust":        func() error { _, err := gw.SetTrust(id, 0.5); return err },
+		"Window":          func() error { _, err := gw.Window(id); return err },
+		"SetWindow":       func() error { return gw.SetWindow(id, 1) },
+		"Snapshot":        func() error { return gw.Snapshot(&bytes.Buffer{}) },
+		"AddNode":         func() error { return gw.AddNode("n9", "http://127.0.0.1:1") },
+	}
+	for name, op := range ops {
+		if err := op(); !errors.Is(err, shard.ErrClosed) {
+			t.Errorf("%s after Close: %v, want shard.ErrClosed", name, err)
+		}
+	}
+	if err := gw.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+}
+
+// placementBackend is the surface TestClusterMatchesEngine drives on both
+// an engine and a gateway.
+type placementBackend interface {
+	OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
+	AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task, error)
+	CompleteCtx(ctx context.Context, workerID, taskID string) (*core.Task, error)
+	ActiveTasks(workerID string) ([]*core.Task, error)
+}
+
+// replayDecisions drives one seeded add/offer/complete trace through b and
+// returns the decision log and the number of offers dropped as full.
+func replayDecisions(t *testing.T, b placementBackend, seed int64) (string, int) {
+	t.Helper()
+	ctx := context.Background()
+	workers, tasks := testWorkload(t, seed, 24, 600)
+	rng := rand.New(rand.NewSource(seed))
+	var log strings.Builder
+	ids := func(ts []*core.Task) string {
+		out := make([]string, len(ts))
+		for i, task := range ts {
+			out[i] = task.ID
+		}
+		return strings.Join(out, " ")
+	}
+	added, offered, drops := 0, 0, 0
+	for offered < len(tasks) {
+		switch r := rng.Intn(10); {
+		case r < 1 && added < len(workers):
+			w := workers[added]
+			added++
+			drained, err := b.AddWorkerCtx(ctx, w)
+			if err != nil {
+				t.Fatalf("AddWorker(%s): %v", w.ID, err)
+			}
+			fmt.Fprintf(&log, "add %s [%s]\n", w.ID, ids(drained))
+		case r < 6:
+			task := tasks[offered]
+			offered++
+			wid, err := b.OfferTaskCtx(ctx, task)
+			switch {
+			case errors.Is(err, stream.ErrBufferFull):
+				drops++
+				fmt.Fprintf(&log, "offer %s full\n", task.ID)
+			case err != nil:
+				t.Fatalf("OfferTask(%s): %v", task.ID, err)
+			default:
+				fmt.Fprintf(&log, "offer %s -> %q\n", task.ID, wid)
+			}
+		case added > 0:
+			w := workers[rng.Intn(added)]
+			active, err := b.ActiveTasks(w.ID)
+			if err != nil {
+				t.Fatalf("ActiveTasks(%s): %v", w.ID, err)
+			}
+			if len(active) == 0 {
+				fmt.Fprintf(&log, "idle %s\n", w.ID)
+				continue
+			}
+			next, err := b.CompleteCtx(ctx, w.ID, active[0].ID)
+			if err != nil {
+				t.Fatalf("Complete(%s, %s): %v", w.ID, active[0].ID, err)
+			}
+			pulled := ""
+			if next != nil {
+				pulled = next.ID
+			}
+			fmt.Fprintf(&log, "complete %s %s -> %q\n", w.ID, active[0].ID, pulled)
+		}
+	}
+	return log.String(), drops
+}
+
+// TestClusterMatchesEngine: an N-shard engine and a 1-node gateway over an
+// N-shard engine run the same placement rule, so one race-free trace must
+// produce byte-identical decisions on both — including which offers are
+// dropped when every buffer is full.
+func TestClusterMatchesEngine(t *testing.T) {
+	const xmax, bufferPer = 2, 6
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng, err := shard.New(shard.Config{
+				Shards:        shards,
+				StealInterval: -1,
+				Stream:        stream.Config{Xmax: xmax, BufferLimit: bufferPer},
+				Registry:      obs.NewRegistry(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			tc := newTestCluster(t, 1, shards, bufferPer, xmax)
+			const seed = 11
+			want, drops := replayDecisions(t, eng, seed)
+			got, _ := replayDecisions(t, tc.gw, seed)
+			if drops == 0 {
+				t.Fatal("trace never filled every buffer; shrink bufferPer")
+			}
+			if got != want {
+				t.Fatalf("gateway decisions diverge from the engine's (%d vs %d bytes):\n%s",
+					len(got), len(want), firstDiff(want, got))
+			}
+			t.Logf("%d bytes of decisions, %d drops", len(want), drops)
+		})
+	}
+}
+
+// firstDiff returns the first differing line of two logs.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d: engine %q, gateway %q", i+1, al[i], bl[i])
+		}
+	}
+	return "one log is a prefix of the other"
 }

@@ -1,3 +1,27 @@
+// Package cluster promotes the sharded streaming engine past the
+// single-process ceiling: N hta-server nodes each own a segment of a
+// consistent-hash ring over worker IDs, and a thin gateway places tasks
+// with the same rule the shard engine applies to its shards (shard.Place)
+// — scoring nodes over stdlib HTTP RPC instead of goroutine mailboxes.
+//
+// The comms layer is built so the network never dominates:
+//
+//   - batching: concurrent operations destined for the same node coalesce
+//     into one framed RPC (the mailbox-drain idiom of the shard actor,
+//     applied to the wire);
+//   - pipelining: up to Window frames per peer are in flight at once, so
+//     a slow response never stalls the queue behind it;
+//   - pooled persistent connections (http.Transport keep-alives) and
+//     pooled encode/decode buffers keep the per-frame overhead flat;
+//   - frames carry IDs and nodes deduplicate replays, so a frame whose
+//     response was lost can be retried without double-applying writes —
+//     the RPC analogue of the platform client's idempotency keys.
+//
+// Membership is heartbeat-driven: the gateway probes each node and
+// removes unresponsive ones from the ring. The gateway keeps a ledger of
+// every in-flight task's owning node; when a node dies, its pending
+// tasks requeue onto the survivors, and the gateway's global accounting
+// (submitted = active + completed + buffered + dropped) keeps holding.
 package cluster
 
 import (
@@ -8,6 +32,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -148,13 +173,11 @@ type Gateway struct {
 	// the RPC analogue of the engine's per-shard quiesce barrier.
 	opGate sync.RWMutex
 
-	// mu guards membership: the ring (nil once every member is dead), the
-	// peer table, and the per-node drop counters the death accounting
-	// absorbs.
+	// mu guards membership: the live members and their ring, the peer
+	// table, and the per-node drop counters the death accounting absorbs.
 	mu          sync.Mutex
-	ring        *Ring
+	live        members
 	peers       map[string]*peer
-	order       []string // live member names, sorted — deterministic scatter order
 	lastDropped map[string]int64
 	deadDropped int64
 
@@ -239,11 +262,10 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		peers[ps.Name] = newPeer(ps.Name, strings.TrimRight(ps.URL, "/"), cfg.HTTPClient,
 			cfg.Registry, cfg.MaxBatch, cfg.Window, cfg.FrameRetries, cfg.RetryBackoff)
 	}
-	ring, err := NewRing(names, cfg.VirtualNodes)
+	live, err := newMembers(names, cfg.VirtualNodes)
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
 	g := &Gateway{
 		cfg:         cfg,
 		log:         cfg.Logger,
@@ -251,9 +273,8 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		reg:         cfg.Registry,
 		tracer:      cfg.Tracer,
 		journal:     cfg.Journal,
-		ring:        ring,
+		live:        live,
 		peers:       peers,
-		order:       names,
 		lastDropped: make(map[string]int64, len(peers)),
 		workerLoc:   make(map[string]string),
 		ledger:      make(map[string]ledgerEntry),
@@ -289,13 +310,49 @@ func (g *Gateway) Close() error {
 	return nil
 }
 
+// members is the live membership: the member names, sorted, and the ring
+// over them. Owner i of the ring is names[i], hashed from the point label
+// "node-<name>", so a member's points do not depend on who else is live:
+// a join or a leave moves only the keys on the changed member's arcs.
+type members struct {
+	names []string
+	ring  *shard.Ring // nil when names is empty
+}
+
+func newMembers(names []string, vnodes int) (members, error) {
+	m := members{names: append([]string(nil), names...)}
+	sort.Strings(m.names)
+	if len(m.names) == 0 {
+		return m, nil
+	}
+	labels := make([]string, len(m.names))
+	for i, n := range m.names {
+		if n == "" {
+			return members{}, errors.New("cluster: empty member name")
+		}
+		labels[i] = "node-" + n
+	}
+	var err error
+	m.ring, err = shard.NewRing(labels, vnodes)
+	return m, err
+}
+
+// lookup returns the ring owner of key, or ErrNoNodes when no member is
+// live.
+func (m members) lookup(key string) (string, error) {
+	if m.ring == nil {
+		return "", ErrNoNodes
+	}
+	return m.names[m.ring.Lookup(key)], nil
+}
+
 // livePeers snapshots the live members in deterministic (sorted-name)
 // order.
 func (g *Gateway) livePeers() []*peer {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]*peer, 0, len(g.order))
-	for _, name := range g.order {
+	out := make([]*peer, 0, len(g.live.names))
+	for _, name := range g.live.names {
 		if p := g.peers[name]; p != nil && !p.down.Load() {
 			out = append(out, p)
 		}
@@ -312,10 +369,10 @@ func (g *Gateway) owner(workerID string) (*peer, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !pinned {
-		if g.ring == nil {
-			return nil, ErrNoNodes
+		var err error
+		if name, err = g.live.lookup(workerID); err != nil {
+			return nil, err
 		}
-		name = g.ring.Lookup(workerID)
 	}
 	p := g.peers[name]
 	if p == nil || p.down.Load() {
@@ -340,17 +397,12 @@ func resultErr(res OpResult) error {
 	return errors.New("cluster: op failed")
 }
 
-// OfferTask is OfferTaskCtx with a background context.
-func (g *Gateway) OfferTask(t *core.Task) (string, error) {
-	return g.OfferTaskCtx(context.Background(), t)
-}
-
 // OfferTaskCtx routes an arriving task across the cluster: scatter a
 // score op to every live node (one batched frame each, traveling
-// concurrently), rank the answers exactly as the shard engine ranks its
-// shards, commit to the winner, fall back down the ranking, and finally
-// buffer on the least backlogged node. Returns the assigned worker's ID
-// ("" if buffered), or stream.ErrBufferFull when every node is full.
+// concurrently), then run the shard engine's placement rule (shard.Place)
+// over the answers: commit down the ranking of nodes that scored free,
+// else buffer on the least backlogged node. Returns the assigned worker's
+// ID ("" if buffered), or stream.ErrBufferFull when every node is full.
 func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error) {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
@@ -400,124 +452,88 @@ func (g *Gateway) routeTask(ctx context.Context, t *core.Task) (wid, node string
 	for i, p := range peers {
 		calls[i] = p.doAsyncCtx(ctx, scoreOp)
 	}
-	type scored struct {
-		p       *peer
-		gain    float64
-		rel     float64
-		free    bool
-		backlog int
-	}
-	answers := make([]scored, 0, len(peers))
+	bids := make([]shard.Bid, 0, len(peers))
 	for i, p := range peers {
 		res, err := p.wait(calls[i])
 		if err != nil || !res.OK {
 			continue // node failing mid-scatter: route around it
 		}
-		answers = append(answers, scored{p: p, gain: res.Gain, rel: res.Rel, free: res.Free, backlog: res.Backlog})
+		bids = append(bids, shard.Bid{Member: i, Gain: res.Gain, Rel: res.Rel, Free: res.Free, Backlog: res.Backlog})
 	}
-	if len(answers) == 0 {
+	if len(bids) == 0 {
 		return "", "", ErrNoNodes
 	}
-	// Rank free nodes first by (gain, relevance, name) — the same ordering
-	// the engine applies to its shards, with the same float epsilon.
-	sort.Slice(answers, func(i, j int) bool {
-		a, b := answers[i], answers[j]
-		if a.free != b.free {
-			return a.free
-		}
-		if a.free {
-			if a.gain > b.gain+1e-12 {
-				return true
-			}
-			if b.gain > a.gain+1e-12 {
+	// Members index the name-sorted peers, so ties break by node name.
+	commitOp := Op{Op: opCommit, Task: &tw}
+	bufferOp := Op{Op: opBuffer, Task: &tw}
+	i, _, err := shard.Place(bids,
+		func(i int) bool {
+			res, err := peers[i].doCtx(ctx, commitOp)
+			if err != nil || !res.OK {
 				return false
 			}
-			if a.rel != b.rel {
-				return a.rel > b.rel
-			}
-		}
-		return a.p.name < b.p.name
-	})
-	commitOp := Op{Op: opCommit, Task: &tw}
-	for _, s := range answers {
-		if !s.free {
-			break
-		}
-		res, err := s.p.doCtx(ctx, commitOp)
-		if err == nil && res.OK {
-			return res.WorkerID, s.p.name, nil
-		}
+			wid = res.WorkerID
+			return true
+		},
+		func(i int) bool {
+			res, err := peers[i].doCtx(ctx, bufferOp)
+			return err == nil && res.OK
+		})
+	if err != nil {
+		return "", "", err
 	}
-	// No node committed: buffer on the least backlogged, walking up.
-	sort.Slice(answers, func(i, j int) bool {
-		a, b := answers[i], answers[j]
-		if a.backlog != b.backlog {
-			return a.backlog < b.backlog
-		}
-		return a.p.name < b.p.name
-	})
-	bufferOp := Op{Op: opBuffer, Task: &tw}
-	for _, s := range answers {
-		res, err := s.p.doCtx(ctx, bufferOp)
-		if err == nil && res.OK {
-			return "", s.p.name, nil
-		}
-	}
-	return "", "", stream.ErrBufferFull
+	return wid, peers[i].name, nil
 }
 
-// AddWorker is AddWorkerCtx with a background context.
-func (g *Gateway) AddWorker(w *core.Worker) ([]*core.Task, error) {
-	return g.AddWorkerCtx(context.Background(), w)
+// workerOp runs one op on the node that owns workerID — the path every
+// per-worker call shares: closed check, owner lookup, RPC, error mapping,
+// and decoding the tasks the op returns. It holds the op gate across the
+// RPC and onOK (which may be nil), so a snapshot cut sees the node-side
+// effect and the gateway's bookkeeping together.
+func (g *Gateway) workerOp(ctx context.Context, workerID string, op Op, onOK func(node string, res OpResult)) (OpResult, []*core.Task, error) {
+	g.opGate.RLock()
+	defer g.opGate.RUnlock()
+	if g.closed.Load() {
+		return OpResult{}, nil, shard.ErrClosed
+	}
+	p, err := g.owner(workerID)
+	if err != nil {
+		return OpResult{}, nil, err
+	}
+	res, err := p.doCtx(ctx, op)
+	if err != nil {
+		return OpResult{}, nil, err
+	}
+	if !res.OK {
+		return OpResult{}, nil, resultErr(res)
+	}
+	if onOK != nil {
+		onOK(p.name, res)
+	}
+	tasks := make([]*core.Task, 0, len(res.Tasks))
+	for _, tw := range res.Tasks {
+		t, err := wireToTask(tw)
+		if err != nil {
+			return OpResult{}, nil, err
+		}
+		tasks = append(tasks, t)
+	}
+	return res, tasks, nil
 }
 
 // AddWorkerCtx places the worker on its ring owner, pins it there, and
 // returns any buffered tasks the arrival drained into assignment.
 func (g *Gateway) AddWorkerCtx(ctx context.Context, w *core.Worker) ([]*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	if g.closed.Load() {
-		return nil, shard.ErrClosed
-	}
 	if w == nil || w.ID == "" {
 		return nil, errors.New("cluster: nil worker or empty ID")
 	}
-	g.mu.Lock()
-	if g.ring == nil {
-		g.mu.Unlock()
-		return nil, ErrNoNodes
-	}
-	name := g.ring.Lookup(w.ID)
-	p := g.peers[name]
-	g.mu.Unlock()
-	if p == nil || p.down.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrPeerDown, name)
-	}
 	ww := workerToWire(w)
-	res, err := p.doCtx(ctx, Op{Op: opAddWorker, Worker: &ww})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
-	}
-	g.locMu.Lock()
-	g.workerLoc[w.ID] = p.name
-	g.locMu.Unlock()
-	drained := make([]*core.Task, 0, len(res.Tasks))
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
-		}
-		drained = append(drained, t)
-	}
-	return drained, nil
-}
-
-// RemoveWorker is RemoveWorkerCtx with a background context.
-func (g *Gateway) RemoveWorker(id string) ([]*core.Task, error) {
-	return g.RemoveWorkerCtx(context.Background(), id)
+	_, drained, err := g.workerOp(ctx, w.ID, Op{Op: opAddWorker, Worker: &ww}, func(node string, _ OpResult) {
+		g.locMu.Lock()
+		g.workerLoc[w.ID] = node
+		g.locMu.Unlock()
+	})
+	return drained, err
 }
 
 // RemoveWorkerCtx deregisters the worker from its node. Tasks the node
@@ -525,71 +541,30 @@ func (g *Gateway) RemoveWorker(id string) ([]*core.Task, error) {
 // drop counter, so the gateway only prunes its ledger (counting them here
 // too would double them in the global accounting).
 func (g *Gateway) RemoveWorkerCtx(ctx context.Context, id string) ([]*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	if g.closed.Load() {
-		return nil, shard.ErrClosed
-	}
-	p, err := g.owner(id)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.doCtx(ctx, Op{Op: opRemoveWorker, WorkerID: id})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
-	}
-	g.locMu.Lock()
-	delete(g.workerLoc, id)
-	g.locMu.Unlock()
-	dropped := make([]*core.Task, 0, len(res.Tasks))
-	g.ledgerMu.Lock()
-	for _, twr := range res.Tasks {
-		delete(g.ledger, twr.ID)
-	}
-	g.ledgerMu.Unlock()
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
+	_, dropped, err := g.workerOp(ctx, id, Op{Op: opRemoveWorker, WorkerID: id}, func(_ string, res OpResult) {
+		g.locMu.Lock()
+		delete(g.workerLoc, id)
+		g.locMu.Unlock()
+		g.ledgerMu.Lock()
+		for _, tw := range res.Tasks {
+			delete(g.ledger, tw.ID)
 		}
-		dropped = append(dropped, t)
-	}
-	return dropped, nil
-}
-
-// Complete is CompleteCtx with a background context.
-func (g *Gateway) Complete(workerID, taskID string) (*core.Task, error) {
-	return g.CompleteCtx(context.Background(), workerID, taskID)
+		g.ledgerMu.Unlock()
+	})
+	return dropped, err
 }
 
 // CompleteCtx marks the task finished on the worker's node and returns
 // the buffered task (if any) the completion pulled into the freed slot.
 func (g *Gateway) CompleteCtx(ctx context.Context, workerID, taskID string) (*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	if g.closed.Load() {
-		return nil, shard.ErrClosed
-	}
-	p, err := g.owner(workerID)
-	if err != nil {
+	res, _, err := g.workerOp(ctx, workerID, Op{Op: opComplete, WorkerID: workerID, TaskID: taskID}, func(string, OpResult) {
+		g.completed.Add(1)
+		g.ledgerMu.Lock()
+		delete(g.ledger, taskID)
+		g.ledgerMu.Unlock()
+	})
+	if err != nil || res.Next == nil {
 		return nil, err
-	}
-	res, err := p.doCtx(ctx, Op{Op: opComplete, WorkerID: workerID, TaskID: taskID})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
-	}
-	g.completed.Add(1)
-	g.ledgerMu.Lock()
-	delete(g.ledger, taskID)
-	g.ledgerMu.Unlock()
-	if res.Next == nil {
-		return nil, nil
 	}
 	// The pulled task moved buffer→active on the same node; its ledger
 	// entry already points there.
@@ -598,43 +573,17 @@ func (g *Gateway) CompleteCtx(ctx context.Context, workerID, taskID string) (*co
 
 // ActiveTasks returns the worker's assigned tasks.
 func (g *Gateway) ActiveTasks(workerID string) ([]*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.do(Op{Op: opActiveTasks, WorkerID: workerID})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
-	}
-	out := make([]*core.Task, 0, len(res.Tasks))
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	_, tasks, err := g.workerOp(context.Background(), workerID, Op{Op: opActiveTasks, WorkerID: workerID}, nil)
+	return tasks, err
 }
 
 // Worker returns the registered worker record.
 func (g *Gateway) Worker(workerID string) (*core.Worker, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
+	res, _, err := g.workerOp(context.Background(), workerID, Op{Op: opWorker, WorkerID: workerID}, nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.do(Op{Op: opWorker, WorkerID: workerID})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK || res.Worker == nil {
+	if res.Worker == nil {
 		return nil, resultErr(res)
 	}
 	return wireToWorker(*res.Worker)
@@ -642,104 +591,36 @@ func (g *Gateway) Worker(workerID string) (*core.Worker, error) {
 
 // Trust returns the worker's trust multiplier from its owning node.
 func (g *Gateway) Trust(workerID string) (float64, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return 0, err
-	}
-	res, err := p.do(Op{Op: opTrust, WorkerID: workerID})
-	if err != nil {
-		return 0, err
-	}
-	if !res.OK {
-		return 0, resultErr(res)
-	}
-	return res.Value, nil
+	res, _, err := g.workerOp(context.Background(), workerID, Op{Op: opTrust, WorkerID: workerID}, nil)
+	return res.Value, err
 }
 
 // SetTrust updates the worker's trust multiplier on its owning node
 // (stream.Assigner.SetTrust semantics). Tasks drained by a lifted
 // quarantine are returned.
 func (g *Gateway) SetTrust(workerID string, trust float64) ([]*core.Task, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.do(Op{Op: opSetTrust, WorkerID: workerID, Trust: &trust})
-	if err != nil {
-		return nil, err
-	}
-	if !res.OK {
-		return nil, resultErr(res)
-	}
-	out := make([]*core.Task, 0, len(res.Tasks))
-	for _, twr := range res.Tasks {
-		t, err := wireToTask(twr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
+	_, drained, err := g.workerOp(context.Background(), workerID, Op{Op: opSetTrust, WorkerID: workerID, Trust: &trust}, nil)
+	return drained, err
 }
 
 // SetWindow records the worker's availability-window end on its owning
 // node (0 clears it).
 func (g *Gateway) SetWindow(workerID string, until int64) error {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return err
-	}
-	res, err := p.do(Op{Op: opSetWindow, WorkerID: workerID, Window: &until})
-	if err != nil {
-		return err
-	}
-	if !res.OK {
-		return resultErr(res)
-	}
-	return nil
+	_, _, err := g.workerOp(context.Background(), workerID, Op{Op: opSetWindow, WorkerID: workerID, Window: &until}, nil)
+	return err
 }
 
 // Window returns the worker's recorded availability-window end (0 =
 // unknown) from its owning node.
 func (g *Gateway) Window(workerID string) (int64, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return 0, err
-	}
-	res, err := p.do(Op{Op: opWindow, WorkerID: workerID})
-	if err != nil {
-		return 0, err
-	}
-	if !res.OK {
-		return 0, resultErr(res)
-	}
-	return res.Until, nil
+	res, _, err := g.workerOp(context.Background(), workerID, Op{Op: opWindow, WorkerID: workerID}, nil)
+	return res.Until, err
 }
 
 // Completed returns how many tasks the worker finished.
 func (g *Gateway) Completed(workerID string) (int, error) {
-	g.opGate.RLock()
-	defer g.opGate.RUnlock()
-	p, err := g.owner(workerID)
-	if err != nil {
-		return 0, err
-	}
-	res, err := p.do(Op{Op: opCompleted, WorkerID: workerID})
-	if err != nil {
-		return 0, err
-	}
-	if !res.OK {
-		return 0, resultErr(res)
-	}
-	return res.Count, nil
+	res, _, err := g.workerOp(context.Background(), workerID, Op{Op: opCompleted, WorkerID: workerID}, nil)
+	return res.Count, err
 }
 
 // WorkerIDs gathers all registered worker IDs, grouped by node in sorted
@@ -945,23 +826,15 @@ func (g *Gateway) dropNode(name string) {
 	defer g.opGate.RUnlock()
 	g.mu.Lock()
 	p := g.peers[name]
-	if p == nil || p.down.Load() || g.ring == nil || !g.ring.Has(name) {
+	if p == nil || p.down.Load() || !slices.Contains(g.live.names, name) {
 		g.mu.Unlock()
 		return
 	}
-	if g.ring.Size() == 1 {
-		g.ring = nil
-	} else if nr, err := g.ring.Without(name); err == nil {
-		g.ring = nr
-	}
-	for i, n := range g.order {
-		if n == name {
-			g.order = append(g.order[:i], g.order[i+1:]...)
-			break
-		}
-	}
+	// Survivors keep their labels, so the rebuild cannot fail.
+	g.live, _ = newMembers(slices.DeleteFunc(slices.Clone(g.live.names),
+		func(n string) bool { return n == name }), g.cfg.VirtualNodes)
 	g.deadDropped += g.lastDropped[name]
-	live := len(g.order)
+	live := len(g.live.names)
 	g.mu.Unlock()
 	p.markDown()
 	g.met.Nodes.Set(float64(live))
@@ -1045,26 +918,15 @@ func (g *Gateway) AddNode(name, url string) error {
 		g.mu.Unlock()
 		return fmt.Errorf("cluster: member %q already known (rejoin under a fresh name)", name)
 	}
-	if g.ring == nil {
-		nr, err := NewRing([]string{name}, g.cfg.VirtualNodes)
-		if err != nil {
-			g.mu.Unlock()
-			return err
-		}
-		g.ring = nr
-	} else {
-		nr, err := g.ring.With(name)
-		if err != nil {
-			g.mu.Unlock()
-			return err
-		}
-		g.ring = nr
+	nm, err := newMembers(append(slices.Clone(g.live.names), name), g.cfg.VirtualNodes)
+	if err != nil {
+		g.mu.Unlock()
+		return err
 	}
+	g.live = nm
 	g.peers[name] = p
-	g.order = append(g.order, name)
-	sort.Strings(g.order)
 	g.lastDropped[name] = h.Dropped
-	live := len(g.order)
+	live := len(g.live.names)
 	g.mu.Unlock()
 	g.met.Nodes.Set(float64(live))
 	g.journal.Emit(ops.EventNodeJoin, name, "live", strconv.Itoa(live))
@@ -1078,7 +940,7 @@ func (g *Gateway) AddNode(name, url string) error {
 func (g *Gateway) Members() []string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return append([]string(nil), g.order...)
+	return slices.Clone(g.live.names)
 }
 
 // FramesSent and OpsSent aggregate the RPC telemetry across all peers

@@ -1,8 +1,18 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
+
+	"github.com/htacs/ata/internal/obs"
+	"github.com/htacs/ata/internal/shard"
+	"github.com/htacs/ata/internal/stream"
 )
 
 func ringKeys(n int) []string {
@@ -13,31 +23,55 @@ func ringKeys(n int) []string {
 	return keys
 }
 
-func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(nil, 64); err == nil {
-		t.Error("empty member list accepted")
-	}
-	if _, err := NewRing([]string{"a", ""}, 64); err == nil {
-		t.Error("empty member name accepted")
-	}
-	if _, err := NewRing([]string{"a", "a"}, 64); err == nil {
-		t.Error("duplicate member accepted")
-	}
-	r, err := NewRing([]string{"b", "a"}, 0)
+// memberOwners maps every key to its ring owner over the given live names.
+func memberOwners(t *testing.T, names []string, keys []string) map[string]string {
+	t.Helper()
+	m, err := newMembers(names, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.VirtualNodes() != 64 {
-		t.Errorf("default vnodes = %d", r.VirtualNodes())
+	out := make(map[string]string, len(keys))
+	for _, k := range keys {
+		if out[k], err = m.lookup(k); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := r.Members(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("Members() = %v", got)
+	return out
+}
+
+// TestRingValidation: a membership rejects empty and duplicate member
+// names, sorts its names, resolves nothing when empty, and defaults to 64
+// virtual nodes per member.
+func TestRingValidation(t *testing.T) {
+	empty, err := newMembers(nil, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.Without("ghost"); err == nil {
-		t.Error("Without(ghost) accepted")
+	if _, err := empty.lookup("w1"); !errors.Is(err, ErrNoNodes) {
+		t.Errorf("empty membership lookup: err = %v, want ErrNoNodes", err)
 	}
-	if _, err := r.With("a"); err == nil {
-		t.Error("With(existing) accepted")
+	if _, err := newMembers([]string{"a", ""}, 64); err == nil {
+		t.Error("empty member name accepted")
+	}
+	if _, err := newMembers([]string{"a", "a"}, 64); err == nil {
+		t.Error("duplicate member accepted")
+	}
+	m, err := newMembers([]string{"b", "a"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.names; len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("names = %v", got)
+	}
+	keys := ringKeys(2000)
+	def, explicit := memberOwners(t, []string{"b", "a"}, keys), make(map[string]string, len(keys))
+	for _, k := range keys {
+		if explicit[k], err = m.lookup(k); err != nil {
+			t.Fatal(err)
+		}
+		if explicit[k] != def[k] {
+			t.Fatalf("vnodes=0 owner of %s is %s, 64 vnodes gives %s", k, explicit[k], def[k])
+		}
 	}
 }
 
@@ -49,21 +83,17 @@ func TestRingValidation(t *testing.T) {
 func TestRingOwnershipBalanced(t *testing.T) {
 	keys := ringKeys(20000)
 	for _, n := range []int{2, 3, 4, 8} {
-		members := make([]string, n)
-		for i := range members {
-			members[i] = fmt.Sprintf("node-%d", i)
-		}
-		r, err := NewRing(members, 64)
-		if err != nil {
-			t.Fatal(err)
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("node-%d", i)
 		}
 		counts := make(map[string]int, n)
-		for _, k := range keys {
-			counts[r.Lookup(k)]++
+		for _, owner := range memberOwners(t, names, keys) {
+			counts[owner]++
 		}
 		min, max := len(keys), 0
-		for _, m := range members {
-			c := counts[m]
+		for _, name := range names {
+			c := counts[name]
 			if c < min {
 				min = c
 			}
@@ -88,31 +118,19 @@ func TestRingOwnershipBalanced(t *testing.T) {
 // the dead node's tasks move.
 func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
 	keys := ringKeys(10000)
-	members := []string{"n0", "n1", "n2", "n3"}
-	r, err := NewRing(members, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Lookup(k)
-	}
-	smaller, err := r.Without("n2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := memberOwners(t, []string{"n0", "n1", "n2", "n3"}, keys)
+	after := memberOwners(t, []string{"n0", "n1", "n3"}, keys)
 	moved := 0
 	for _, k := range keys {
-		after := smaller.Lookup(k)
 		if before[k] == "n2" {
-			if after == "n2" {
+			if after[k] == "n2" {
 				t.Fatalf("key %s still owned by departed member", k)
 			}
 			moved++
 			continue
 		}
-		if after != before[k] {
-			t.Fatalf("key %s moved %s -> %s though its owner survived", k, before[k], after)
+		if after[k] != before[k] {
+			t.Fatalf("key %s moved %s -> %s though its owner survived", k, before[k], after[k])
 		}
 	}
 	if moved == 0 {
@@ -125,27 +143,15 @@ func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
 // surviving members.
 func TestRingJoinMovesMinimalFraction(t *testing.T) {
 	keys := ringKeys(20000)
-	members := []string{"n0", "n1", "n2"}
-	r, err := NewRing(members, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := make(map[string]string, len(keys))
-	for _, k := range keys {
-		before[k] = r.Lookup(k)
-	}
-	bigger, err := r.With("n3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := memberOwners(t, []string{"n0", "n1", "n2"}, keys)
+	after := memberOwners(t, []string{"n0", "n1", "n2", "n3"}, keys)
 	moved := 0
 	for _, k := range keys {
-		after := bigger.Lookup(k)
-		if after == before[k] {
+		if after[k] == before[k] {
 			continue
 		}
-		if after != "n3" {
-			t.Fatalf("key %s moved %s -> %s, not to the joiner", k, before[k], after)
+		if after[k] != "n3" {
+			t.Fatalf("key %s moved %s -> %s, not to the joiner", k, before[k], after[k])
 		}
 		moved++
 	}
@@ -158,21 +164,91 @@ func TestRingJoinMovesMinimalFraction(t *testing.T) {
 	t.Logf("join moved %.1f%% of keys", 100*frac)
 }
 
-// TestRingLookupDeterministic: the ring is a pure function of its member
-// set — two independently built rings agree on every key, regardless of
-// construction order.
+// TestRingLookupDeterministic: ownership is a pure function of the member
+// set — two independently built memberships agree on every key, regardless
+// of the order the names arrive in.
 func TestRingLookupDeterministic(t *testing.T) {
-	a, err := NewRing([]string{"x", "y", "z"}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewRing([]string{"z", "x", "y"}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range ringKeys(2000) {
-		if a.Lookup(k) != b.Lookup(k) {
-			t.Fatalf("order-dependent ownership for %s: %s vs %s", k, a.Lookup(k), b.Lookup(k))
+	keys := ringKeys(2000)
+	a := memberOwners(t, []string{"x", "y", "z"}, keys)
+	b := memberOwners(t, []string{"z", "x", "y"}, keys)
+	for _, k := range keys {
+		if a[k] != b[k] {
+			t.Fatalf("order-dependent ownership for %s: %s vs %s", k, a[k], b[k])
 		}
 	}
+}
+
+// TestRingGoldenOwners pins the worker→owner mapping of w0000…w0999 for
+// engine shard counts and gateway memberships, including a join and a
+// leave driven through the gateway itself. Each digest is the first 8
+// bytes of SHA-256 over the comma-joined owners in key order; a change
+// here re-homes live workers on upgrade.
+func TestRingGoldenOwners(t *testing.T) {
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("w%04d", i)
+	}
+	digest := func(owner func(string) string) string {
+		owners := make([]string, len(keys))
+		for i, k := range keys {
+			owners[i] = owner(k)
+		}
+		sum := sha256.Sum256([]byte(strings.Join(owners, ",")))
+		return hex.EncodeToString(sum[:8])
+	}
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: owner digest %s, want %s", what, got, want)
+		}
+	}
+
+	for _, c := range []struct {
+		shards int
+		want   string
+	}{{1, "7e0f8f11af1b6c00"}, {2, "7cfd48613a2c613a"}, {3, "4000c0f2e88e7807"}, {8, "f78a34ad2d0de70e"}} {
+		eng, err := shard.New(shard.Config{Shards: c.shards, StealInterval: -1,
+			Stream: stream.Config{Xmax: 2}, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%d shards", c.shards), digest(func(k string) string { return strconv.Itoa(eng.ShardOf(k)) }), c.want)
+		eng.Close()
+	}
+	for _, c := range []struct {
+		names []string
+		want  string
+	}{{[]string{"n0", "n1"}, "3c2e9fda8b338589"}, {[]string{"a", "b", "c"}, "d08083f26443c02d"}} {
+		owners := memberOwners(t, c.names, keys)
+		check(fmt.Sprint(c.names), digest(func(k string) string { return owners[k] }), c.want)
+	}
+
+	tc := newTestCluster(t, 3, 1, 8, 2)
+	gw := tc.gw
+	gatewayOwner := func(k string) string {
+		p, err := gw.owner(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.name
+	}
+	check("gateway n0 n1 n2", digest(gatewayOwner), "dd203cde14028480")
+	eng, err := shard.New(shard.Config{Shards: 1, StealInterval: -1,
+		Stream: stream.Config{Xmax: 2}, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	node, err := NewNode(NodeConfig{Name: "n3", Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(node)
+	defer srv.Close()
+	if err := gw.AddNode("n3", srv.URL); err != nil {
+		t.Fatal(err)
+	}
+	check("gateway join n3", digest(gatewayOwner), "31037ea18bce1947")
+	gw.dropNode("n1")
+	check("gateway leave n1", digest(gatewayOwner), "ccab31038ad1570a")
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
@@ -72,6 +73,11 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 	const offerers, logicalEach = 3, 60
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// votedOne closes on the first vote. Offerers hold their second half
+	// until then, so votes race the offers whatever the scheduler does
+	// with a short offer phase.
+	votedOne := make(chan struct{})
+	var votedOnce sync.Once
 
 	// Offerers: each logical task is observed once by the tracker (gold
 	// marking is idempotent and replica-agnostic) and offered to the
@@ -86,6 +92,14 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i, task := range perOfferer[g] {
+				if i == logicalEach/2 {
+					select {
+					case <-votedOne:
+					case <-time.After(10 * time.Second):
+						t.Errorf("offerer %d: no vote landed within 10s", g)
+						return
+					}
+				}
 				id := fmt.Sprintf("o%d-%04d", g, i)
 				tr.ObserveTask(id)
 				for j := 0; j < integK; j++ {
@@ -144,6 +158,7 @@ func TestEngineTrackerConservationUnderConcurrency(t *testing.T) {
 					}
 					continue
 				}
+				votedOnce.Do(func() { close(votedOne) })
 				if res.TrustUpdated {
 					if _, terr := e.SetTrust(wid, res.Trust); terr != nil {
 						t.Errorf("set trust: %v", terr)

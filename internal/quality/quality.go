@@ -220,15 +220,15 @@ func ReplicaID(taskID string, j int) string {
 	return fmt.Sprintf("%s~r%d", taskID, j)
 }
 
-// fnv1a64 is the same FNV-1a the shard ring uses, inlined so the package
-// stays dependency-free.
+// fnv1a64 is the fmix64-finished FNV-1a the shard ring hashes with, plus
+// a seed, inlined so the package stays dependency-free.
 func fnv1a64(seed uint64, s string) uint64 {
 	h := uint64(14695981039346656037) ^ seed*uint64(1099511628211)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	// fmix64 finalizer: short keys otherwise band (see shard.HashKey).
+	// fmix64 finalizer: short keys otherwise band (see shard.Ring).
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33

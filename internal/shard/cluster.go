@@ -2,7 +2,6 @@ package shard
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"github.com/htacs/ata/internal/core"
@@ -12,8 +11,8 @@ import (
 // Cluster-support surface: the same scatter/commit/buffer primitives the
 // stream.Assigner exposes to this engine, lifted one level so a cluster
 // router (internal/cluster) can treat a whole node — this engine and all
-// its shards — as one ring member. The division of labour mirrors the
-// shard protocol exactly:
+// its shards — as one ring member. The gateway runs Place over nodes, and
+// each node runs it again over its shards:
 //
 //   - BestGain is the node's scatter answer: the best marginal gain any
 //     of its shards can offer, read-only;
@@ -32,9 +31,9 @@ import (
 // local API.
 
 // BestGain scores t against every shard's workers (read-only, concurrent
-// across shards) and returns the best marginal gain and relevance
-// tie-break among workers with free capacity. free is false when every
-// worker on every shard is full — the gain values are then meaningless.
+// across shards) and returns the top-ranked shard's marginal gain and
+// relevance tie-break. free is false when every worker on every shard is
+// full — the gain values are then meaningless.
 func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 	release, err := e.begin()
 	if err != nil {
@@ -44,31 +43,14 @@ func (e *Engine) BestGain(t *core.Task) (gain, rel float64, free bool) {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return 0, 0, false
 	}
-	n := len(e.actors)
-	replies := make(chan scoreReply, n)
-	for _, a := range e.actors {
-		a := a
-		a.send(func() {
-			g, r, ok := a.asn.BestGain(t)
-			replies <- scoreReply{shard: a.id, gain: g, rel: r, ok: ok}
-		})
-	}
-	gain, rel = -1, -1
-	for i := 0; i < n; i++ {
-		c := <-replies
-		if !c.ok {
-			continue
-		}
-		if !free || c.gain > gain+1e-12 || (c.gain > gain-1e-12 && c.rel > rel) {
-			gain, rel, free = c.gain, c.rel, true
-		}
-	}
-	return gain, rel, free
+	bids := e.score(t)
+	rank(bids)
+	return bids[0].Gain, bids[0].Rel, bids[0].Free
 }
 
 // TryAssign commits t to the best free worker across this engine's shards
-// under the same scatter/commit protocol as OfferTask, but never buffers
-// and returns ok=false instead of an error when every shard is full — the
+// under the same placement rule as OfferTask, but never buffers and
+// returns ok=false instead of an error when every shard is full — the
 // cluster router will commit to another node or buffer explicitly. On
 // success the task is registered in the local duplicate filter and counted
 // submitted, so node-local accounting stays conserved.
@@ -84,52 +66,19 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 	start := time.Now()
 	defer func() { e.metrics.RouteLatency.Observe(time.Since(start).Seconds()) }()
 	if len(e.actors) == 1 {
+		// The assigner scores and commits in one call.
 		e.actors[0].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
-		if ok {
-			e.noteSubmitted(t.ID)
-		}
-		return wid, ok
+	} else {
+		_, ok, _ = Place(e.score(t), func(s int) bool {
+			var committed bool
+			e.actors[s].call(func(asn *stream.Assigner) { wid, committed = asn.TryAssign(t) })
+			return committed
+		}, nil)
 	}
-	n := len(e.actors)
-	replies := make(chan scoreReply, n)
-	for _, a := range e.actors {
-		a := a
-		a.send(func() {
-			g, r, free := a.asn.BestGain(t)
-			replies <- scoreReply{shard: a.id, gain: g, rel: r, ok: free}
-		})
+	if ok {
+		e.noteSubmitted(t.ID)
 	}
-	scored := make([]scoreReply, 0, n)
-	for i := 0; i < n; i++ {
-		scored = append(scored, <-replies)
-	}
-	sort.Slice(scored, func(i, j int) bool {
-		a, b := scored[i], scored[j]
-		if a.ok != b.ok {
-			return a.ok
-		}
-		if a.ok {
-			if a.gain > b.gain+1e-12 {
-				return true
-			}
-			if b.gain > a.gain+1e-12 {
-				return false
-			}
-			if a.rel != b.rel {
-				return a.rel > b.rel
-			}
-		}
-		return a.shard < b.shard
-	})
-	for _, c := range scored {
-		var committed bool
-		e.actors[c.shard].call(func(asn *stream.Assigner) { wid, committed = asn.TryAssign(t) })
-		if committed {
-			e.noteSubmitted(t.ID)
-			return wid, true
-		}
-	}
-	return "", false
+	return wid, ok
 }
 
 // BufferAny parks t on the least backlogged shard's buffer without
@@ -162,8 +111,3 @@ func (e *Engine) noteSubmitted(id string) {
 		e.markSeen(id)
 	}
 }
-
-// HashKey exposes the ring's key hash (fmix64-finished FNV-1a) so the
-// cluster membership ring partitions by exactly the same function, with
-// the same short-key banding fix.
-func HashKey(s string) uint64 { return fnv1a(s) }

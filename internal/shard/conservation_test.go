@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/stream"
@@ -34,6 +35,11 @@ func TestConservationUnderConcurrentChurn(t *testing.T) {
 	const offerers, tasksEach = 4, 150
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// completedOne closes on the first completion. Offerers hold their
+	// second half until then, so completions race the offers whatever the
+	// scheduler does with a short offer phase.
+	completedOne := make(chan struct{})
+	var completedOnce sync.Once
 
 	// Offerers: unique task IDs per goroutine; ErrBufferFull is a counted
 	// drop, anything else is a bug.
@@ -43,6 +49,14 @@ func TestConservationUnderConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			gen, _ := genWorkloadTasks(int64(100+g), tasksEach)
 			for i, task := range gen {
+				if i == tasksEach/2 {
+					select {
+					case <-completedOne:
+					case <-time.After(10 * time.Second):
+						t.Errorf("offerer %d: no task completed within 10s", g)
+						return
+					}
+				}
 				task.ID = fmt.Sprintf("o%d-%04d-%s", g, i, task.ID)
 				if _, err := e.OfferTask(task); err != nil && !errors.Is(err, stream.ErrBufferFull) {
 					t.Errorf("offerer %d: %v", g, err)
@@ -77,7 +91,9 @@ func TestConservationUnderConcurrentChurn(t *testing.T) {
 				if err != nil || len(active) == 0 {
 					continue
 				}
-				_, _ = e.Complete(wid, active[rng.Intn(len(active))])
+				if _, err := e.Complete(wid, active[rng.Intn(len(active))]); err == nil {
+					completedOnce.Do(func() { close(completedOne) })
+				}
 			}
 		}(c)
 	}

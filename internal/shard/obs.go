@@ -25,9 +25,9 @@ type Metrics struct {
 	// RouteLatency is the scatter-gather routing time per offered task,
 	// seconds.
 	RouteLatency *obs.Histogram
-	// CommitRetries counts commit attempts beyond the first — how often
-	// the scoring winner was full by the time the commit arrived (the
-	// contention the broadcast fallback exists for).
+	// CommitRetries counts failed commits — how often a shard that scored
+	// free had filled by the time the commit arrived, so the placement
+	// moved on to the next free shard or to the buffers.
 	CommitRetries *obs.Counter
 	// Steals counts rebalance rounds that moved at least one task;
 	// StolenTasks the tasks moved; StealBatch the per-round batch sizes.
@@ -60,7 +60,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		RouteLatency: r.Histogram("hta_shard_route_seconds",
 			"scatter-gather routing latency per offered task", obs.DurationBuckets()),
 		CommitRetries: r.Counter("hta_shard_commit_retries_total",
-			"commit attempts beyond the scoring winner (contention fallback)"),
+			"commits refused by a shard that scored free (filled between score and commit)"),
 		Steals: r.Counter("hta_shard_steals_total",
 			"rebalance rounds that moved at least one task"),
 		StolenTasks: r.Counter("hta_shard_stolen_tasks_total",

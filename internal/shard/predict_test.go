@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/ops"
@@ -238,6 +239,16 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 	const offerers, tasksEach = 4, 150
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// completedOne closes on the first completion. Offerers hold their
+	// second half until then, so completions race the offers whatever the
+	// scheduler does with a short offer phase. expiredOne closes on the
+	// first expiry; completers start only after it, since they pull urgent
+	// deadlined work first and, with the expirer descheduled, could drain
+	// every deadline before the sweep sees one.
+	completedOne := make(chan struct{})
+	var completedOnce sync.Once
+	expiredOne := make(chan struct{})
+	var expiredOnce sync.Once
 
 	for g := 0; g < offerers; g++ {
 		wg.Add(1)
@@ -246,6 +257,14 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 			gen, _ := genWorkloadTasks(int64(100+g), tasksEach)
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i, task := range gen {
+				if i == tasksEach/2 {
+					select {
+					case <-completedOne:
+					case <-time.After(10 * time.Second):
+						t.Errorf("offerer %d: no task completed within 10s", g)
+						return
+					}
+				}
 				task.ID = fmt.Sprintf("o%d-%04d-%s", g, i, task.ID)
 				if i%2 == 0 {
 					// Deadlines from nearly-due to comfortably distant, so
@@ -266,6 +285,12 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 		go func(c int) {
 			defer pollers.Done()
 			rng := rand.New(rand.NewSource(int64(c)))
+			select {
+			case <-expiredOne:
+			case <-time.After(10 * time.Second):
+				t.Errorf("completer %d: no task expired within 10s", c)
+				return
+			}
 			for {
 				select {
 				case <-stop:
@@ -281,7 +306,9 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 				if err != nil || len(active) == 0 {
 					continue
 				}
-				_, _ = e.Complete(wid, active[rng.Intn(len(active))])
+				if _, err := e.Complete(wid, active[rng.Intn(len(active))]); err == nil {
+					completedOnce.Do(func() { close(completedOne) })
+				}
 			}
 		}(c)
 	}
@@ -296,7 +323,9 @@ func TestConservationWithExpiryUnderChurn(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				e.ExpireOnce(clock.Add(100))
+				if e.ExpireOnce(clock.Add(100)) > 0 {
+					expiredOnce.Do(func() { close(expiredOne) })
+				}
 			}
 		}
 	}()

@@ -3,44 +3,53 @@ package shard
 import (
 	"fmt"
 	"sort"
+	"strconv"
 )
 
-// Ring is a consistent-hash ring mapping worker IDs to shards. Each shard
-// owns VirtualNodes points on the ring, so the mapping is (a) deterministic
-// given (shards, vnodes) — the property the 1-shard determinism test and
-// snapshot restore rely on — and (b) stable under resizing: growing from N
-// to N+1 shards moves only the keys that land in the new shard's arcs,
-// ~1/(N+1) of them, instead of rehashing everything the way `hash % N`
-// would.
+// Ring is a consistent-hash ring mapping keys (worker IDs) to owners. The
+// same ring places workers on an engine's shards and on a cluster's nodes:
+// each owner is named by a point label ("shard-3", "node-n1") and owns
+// VirtualNodes points on the ring, hashed from "<label>#<v>". So the
+// mapping is (a) deterministic given the labels — the property the
+// 1-shard determinism test and snapshot restore rely on — and (b) stable
+// under membership changes: adding or removing one label moves only the
+// keys on that label's arcs, ~1/(N+1) of them, instead of rehashing
+// everything the way `hash % N` would.
 //
-// The ring is immutable after construction; Resized builds a new one.
+// The ring is immutable after construction.
 type Ring struct {
-	shards int
-	vnodes int
-	points []ringPoint // sorted by hash, ties by shard
+	points []ringPoint // sorted by hash, ties by owner index
 }
 
 type ringPoint struct {
 	hash  uint64
-	shard int
+	owner int
 }
 
-// NewRing builds a ring with the given shard count and virtual nodes per
-// shard (default 64 when vnodes <= 0).
-func NewRing(shards, vnodes int) (*Ring, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("shard: ring needs >= 1 shard, got %d", shards)
+// NewRing builds a ring over the given point labels with vnodes points per
+// label (default 64 when vnodes <= 0). Labels must be unique and
+// non-empty; Lookup returns indexes into labels.
+func NewRing(labels []string, vnodes int) (*Ring, error) {
+	if len(labels) == 0 {
+		return nil, fmt.Errorf("shard: ring needs >= 1 owner")
 	}
 	if vnodes <= 0 {
 		vnodes = 64
 	}
-	r := &Ring{shards: shards, vnodes: vnodes}
-	r.points = make([]ringPoint, 0, shards*vnodes)
-	for s := 0; s < shards; s++ {
+	seen := make(map[string]bool, len(labels))
+	r := &Ring{points: make([]ringPoint, 0, len(labels)*vnodes)}
+	for i, l := range labels {
+		if l == "" {
+			return nil, fmt.Errorf("shard: empty ring label")
+		}
+		if seen[l] {
+			return nil, fmt.Errorf("shard: duplicate ring label %q", l)
+		}
+		seen[l] = true
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{
-				hash:  fnv1a(fmt.Sprintf("shard-%d#%d", s, v)),
-				shard: s,
+				hash:  fnv1a(l + "#" + strconv.Itoa(v)),
+				owner: i,
 			})
 		}
 	}
@@ -48,33 +57,29 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 		if r.points[i].hash != r.points[j].hash {
 			return r.points[i].hash < r.points[j].hash
 		}
-		return r.points[i].shard < r.points[j].shard
+		return r.points[i].owner < r.points[j].owner
 	})
 	return r, nil
 }
 
-// Shards returns the shard count.
-func (r *Ring) Shards() int { return r.shards }
+// shardLabels names an engine's shards on its ring.
+func shardLabels(shards int) []string {
+	labels := make([]string, shards)
+	for i := range labels {
+		labels[i] = "shard-" + strconv.Itoa(i)
+	}
+	return labels
+}
 
-// VirtualNodes returns the per-shard point count.
-func (r *Ring) VirtualNodes() int { return r.vnodes }
-
-// Lookup maps a key (worker ID) to its owning shard: the first ring point
-// clockwise of the key's hash.
+// Lookup maps a key (worker ID) to the index of its owner: the first ring
+// point clockwise of the key's hash.
 func (r *Ring) Lookup(key string) int {
 	h := fnv1a(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap around
 	}
-	return r.points[i].shard
-}
-
-// Resized returns a new ring with a different shard count but the same
-// virtual-node scheme, so shared shards keep their points (and therefore
-// most of their keys).
-func (r *Ring) Resized(shards int) (*Ring, error) {
-	return NewRing(shards, r.vnodes)
+	return r.points[i].owner
 }
 
 // fnv1a is the 64-bit FNV-1a hash (stdlib hash/fnv without the

@@ -6,23 +6,22 @@ import (
 )
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(0, 8); err == nil {
-		t.Fatal("0 shards must be rejected")
+	for _, labels := range [][]string{nil, {"a", ""}, {"a", "a"}} {
+		if _, err := NewRing(labels, 8); err == nil {
+			t.Errorf("NewRing(%q) accepted", labels)
+		}
 	}
-	r, err := NewRing(3, 0)
+	r, err := NewRing(shardLabels(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.VirtualNodes() != 64 {
-		t.Fatalf("default vnodes = %d, want 64", r.VirtualNodes())
-	}
-	if r.Shards() != 3 {
-		t.Fatalf("Shards() = %d", r.Shards())
+	if len(r.points) != 3*64 {
+		t.Fatalf("default vnodes: %d points for 3 owners, want %d", len(r.points), 3*64)
 	}
 }
 
 func TestRingLookupDeterministicAndTotal(t *testing.T) {
-	r, err := NewRing(4, 32)
+	r, err := NewRing(shardLabels(4), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,24 +38,45 @@ func TestRingLookupDeterministicAndTotal(t *testing.T) {
 }
 
 // TestRingBalance checks the virtual nodes spread keys roughly evenly: no
-// shard should be more than 2.5x the fair share over 10k keys.
+// owner gets more than 2.5x the fair share, and the busiest owner at most
+// 2.5x the quietest. A blowup here means the vnode hashing regressed into
+// the banding problem the fmix64 finalizer exists to fix.
 func TestRingBalance(t *testing.T) {
-	const shards, keys = 8, 10000
-	r, err := NewRing(shards, 64)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		labels []string
+		keys   int
+		key    string
+	}{
+		{shardLabels(2), 10000, "worker-%d"},
+		{shardLabels(8), 10000, "worker-%d"},
 	}
-	counts := make([]int, shards)
-	for i := 0; i < keys; i++ {
-		counts[r.Lookup(fmt.Sprintf("worker-%d", i))]++
-	}
-	fair := keys / shards
-	for s, c := range counts {
-		if c == 0 {
-			t.Fatalf("shard %d received no keys", s)
+	for _, c := range cases {
+		r, err := NewRing(c.labels, 64)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if c > fair*5/2 {
-			t.Fatalf("shard %d has %d keys, fair share %d — ring badly unbalanced", s, c, fair)
+		counts := make([]int, len(c.labels))
+		for i := 0; i < c.keys; i++ {
+			counts[r.Lookup(fmt.Sprintf(c.key, i))]++
+		}
+		fair := c.keys / len(c.labels)
+		min, max := c.keys, 0
+		for s, n := range counts {
+			if n == 0 {
+				t.Fatalf("%s: owner %d received no keys", c.labels[0], s)
+			}
+			if n > fair*5/2 {
+				t.Fatalf("%s: owner %d has %d keys, fair share %d — ring badly unbalanced", c.labels[0], s, n, fair)
+			}
+			if n < min {
+				min = n
+			}
+			if n > max {
+				max = n
+			}
+		}
+		if ratio := float64(max) / float64(min); ratio > 2.5 {
+			t.Errorf("%d × %s: ownership ratio max/min = %.2f (%v)", len(c.labels), c.labels[0], ratio, counts)
 		}
 	}
 }
@@ -66,11 +86,11 @@ func TestRingBalance(t *testing.T) {
 // not reshuffle everything the way hash%N does.
 func TestRingResizeMovesFewKeys(t *testing.T) {
 	const keys = 10000
-	r4, err := NewRing(4, 64)
+	r4, err := NewRing(shardLabels(4), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r5, err := r4.Resized(5)
+	r5, err := NewRing(shardLabels(5), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

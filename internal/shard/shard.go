@@ -19,12 +19,15 @@
 //
 //  1. scatter: every shard scores its best Δ(q, k) among workers with
 //     free capacity (read-only, concurrent across shards);
-//  2. commit: try the winner; under contention the winner may have filled
-//     between score and commit, so fall back to the remaining scored
-//     shards in rank order, then broadcast to the shards that reported
-//     full (they may have freed);
-//  3. buffer: if no shard has a free slot, park the task in the least
-//     backlogged shard's buffer; every buffer full → ErrBufferFull.
+//  2. commit: try the shards that scored free in rank order (gain, then
+//     relevance, then index); under contention the winner may have filled
+//     between score and commit, so the next free shard is tried;
+//  3. buffer: if no commit lands, park the task in the least backlogged
+//     shard's buffer; every buffer full → ErrBufferFull.
+//
+// Ranking and the commit/buffer walk are one function, Place, which the
+// cluster gateway runs over nodes exactly as the engine runs it over
+// shards.
 //
 // Dynamic worker availability (arrivals/departures mid-stream, cf.
 // DATA-WA) skews load between partitions, so a rebalancer steals bounded
@@ -217,7 +220,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Journal == nil {
 		cfg.Journal = ops.Default()
 	}
-	ring, err := NewRing(cfg.Shards, cfg.VirtualNodes)
+	ring, err := NewRing(shardLabels(cfg.Shards), cfg.VirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -465,92 +468,52 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 	return wid, err
 }
 
-// scoreReply is one shard's answer to the scatter phase.
-type scoreReply struct {
-	shard int
-	gain  float64
-	rel   float64
-	ok    bool
+// route runs the placement rule (Place) over the shards' bids: commit on
+// the free shards in rank order, else buffer on the least backlogged.
+// Caller holds the liveness read-lock.
+func (e *Engine) route(ctx context.Context, t *core.Task) (wid string, shardID, attempts int, buffered bool, err error) {
+	shardID, committed, err := Place(e.score(t),
+		func(s int) bool {
+			attempts++
+			var ok bool
+			e.actors[s].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
+			trace.Event(ctx, "shard.commit", trace.Int("shard", s),
+				trace.Int("attempt", attempts), trace.Bool("ok", ok))
+			if !ok {
+				// The shard filled between score and commit.
+				e.metrics.CommitRetries.Inc()
+			}
+			return ok
+		},
+		e.bufferOn(t))
+	return wid, shardID, attempts, err == nil && !committed, err
 }
 
-// route implements the scatter / commit / buffer protocol from the
-// package comment. Caller holds the liveness read-lock.
-func (e *Engine) route(ctx context.Context, t *core.Task) (wid string, shardID, attempts int, buffered bool, err error) {
-	n := len(e.actors)
-	replies := make(chan scoreReply, n) // buffered: actors never block on reply
+// score is the scatter phase: every shard bids its best free worker's
+// marginal gain for t (read-only, concurrent across shards).
+func (e *Engine) score(t *core.Task) []Bid {
+	replies := make(chan Bid, len(e.actors)) // buffered: actors never block on reply
 	for _, a := range e.actors {
 		a := a
 		a.send(func() {
 			g, r, ok := a.asn.BestGain(t)
-			replies <- scoreReply{shard: a.id, gain: g, rel: r, ok: ok}
+			replies <- Bid{Member: a.id, Gain: g, Rel: r, Free: ok, Backlog: a.asn.Backlog()}
 		})
 	}
-	scored := make([]scoreReply, 0, n)
-	for i := 0; i < n; i++ {
-		scored = append(scored, <-replies)
+	bids := make([]Bid, len(e.actors))
+	for i := range bids {
+		bids[i] = <-replies
 	}
-	// Rank: shards with capacity first, by marginal gain then relevance
-	// (same epsilon tie-break as the per-worker rule), then shard index
-	// for determinism; full shards follow in index order — they are the
-	// broadcast fallback, tried in case capacity freed since scoring.
-	sort.Slice(scored, func(i, j int) bool {
-		a, b := scored[i], scored[j]
-		if a.ok != b.ok {
-			return a.ok
-		}
-		if a.ok {
-			if a.gain > b.gain+1e-12 {
-				return true
-			}
-			if b.gain > a.gain+1e-12 {
-				return false
-			}
-			if a.rel != b.rel {
-				return a.rel > b.rel
-			}
-		}
-		return a.shard < b.shard
-	})
-	for _, c := range scored {
-		attempts++
-		a := e.actors[c.shard]
-		var committed bool
-		a.call(func(asn *stream.Assigner) { wid, committed = asn.TryAssign(t) })
-		trace.Event(ctx, "shard.commit", trace.Int("shard", c.shard),
-			trace.Int("attempt", attempts), trace.Bool("ok", committed),
-			trace.Bool("scored_free", c.ok))
-		if committed {
-			if attempts > 1 {
-				e.metrics.CommitRetries.Add(float64(attempts - 1))
-			}
-			return wid, c.shard, attempts, false, nil
-		}
-		if c.ok {
-			// The scoring winner filled up between score and commit.
-			e.metrics.CommitRetries.Inc()
-		}
+	return bids
+}
+
+// bufferOn is Place's buffer step for t: park it on the given shard.
+func (e *Engine) bufferOn(t *core.Task) func(shard int) bool {
+	return func(s int) bool {
+		var err error
+		e.actors[s].call(func(asn *stream.Assigner) { err = asn.BufferTask(t) })
+		return err == nil
 	}
-	// No free slot anywhere: buffer on the least backlogged shard.
-	byBacklog := make([]int, n)
-	for i := range byBacklog {
-		byBacklog[i] = i
-	}
-	sort.Slice(byBacklog, func(i, j int) bool {
-		bi := e.actors[byBacklog[i]].asn.Backlog()
-		bj := e.actors[byBacklog[j]].asn.Backlog()
-		if bi != bj {
-			return bi < bj
-		}
-		return byBacklog[i] < byBacklog[j]
-	})
-	for _, id := range byBacklog {
-		var berr error
-		e.actors[id].call(func(asn *stream.Assigner) { berr = asn.BufferTask(t) })
-		if berr == nil {
-			return "", id, attempts, true, nil
-		}
-	}
-	return "", -1, attempts, false, stream.ErrBufferFull
 }
 
 // Complete marks the task finished on the worker's shard; the freed slot

@@ -285,22 +285,13 @@ func (e *Engine) markSeen(id string) {
 	e.seenMu.Unlock()
 }
 
-// bufferAnywhere parks t on the least backlogged shard with buffer space.
+// bufferAnywhere parks t on the least backlogged shard with buffer space:
+// Place over bids that all scored full, so only the buffer step runs.
 func (e *Engine) bufferAnywhere(t *core.Task) error {
-	best, bestBacklog := -1, -1
+	bids := make([]Bid, len(e.actors))
 	for i, a := range e.actors {
-		b := a.asn.Backlog()
-		if best == -1 || b < bestBacklog {
-			best, bestBacklog = i, b
-		}
+		bids[i] = Bid{Member: i, Backlog: a.asn.Backlog()}
 	}
-	var err error
-	for k := 0; k < len(e.actors); k++ {
-		a := e.actors[(best+k)%len(e.actors)]
-		a.call(func(asn *stream.Assigner) { err = asn.BufferTask(t) })
-		if err == nil {
-			return nil
-		}
-	}
+	_, _, err := Place(bids, nil, e.bufferOn(t))
 	return err
 }
