@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race test-shard test-quality vet bench bench-pr5 bench-pr6 bench-pr7 bench-pr8 bench-pr9 bench-pr10 smoke-cluster experiments live crowd clean
+.PHONY: all build test test-short test-race test-shard test-quality vet bench smoke-cluster experiments live crowd clean
 
 all: build vet test
 
@@ -31,37 +31,6 @@ test-shard:
 # engine/tracker integration properties, under the race detector.
 test-quality:
 	$(GO) test -race ./internal/quality
-
-# Regenerate the shard throughput report (BENCH_PR5.json).
-bench-pr5:
-	$(GO) run ./cmd/hta-bench -fig pr5 -json BENCH_PR5.json
-
-# Regenerate the incremental hot-path report (BENCH_PR6.json): the pr5
-# churn workload vs the recorded pr5 single-shard baseline.
-bench-pr6:
-	$(GO) run ./cmd/hta-bench -fig pr6 -runs 5 -json BENCH_PR6.json
-
-# Regenerate the cluster gateway report (BENCH_PR7.json): 1/2/4 nodes
-# over real loopback HTTP, batched frames vs the per-op control.
-bench-pr7:
-	$(GO) run ./cmd/hta-bench -fig pr7 -json BENCH_PR7.json
-
-# Regenerate the quality/trust report (BENCH_PR8.json): majority vs
-# accuracy-weighted vs EM aggregation at k=1/3/5 under a 40% spammy crowd.
-bench-pr8:
-	$(GO) run ./cmd/hta-bench -fig pr8 -json BENCH_PR8.json
-
-# Regenerate the cluster observability overhead report (BENCH_PR9.json):
-# the pr7 gateway workload with federated metrics + 1/16 tracing + ops
-# journals vs all of it disabled, against the 2% budget.
-bench-pr9:
-	$(GO) run ./cmd/hta-bench -fig pr9 -runs 5 -gate -json BENCH_PR9.json
-
-# Regenerate the predictive-scheduling report (BENCH_PR10.json):
-# deadline-miss rate of predictive vs reactive rebalancing on the
-# bursty-churn deadline workload, gated on predictive winning.
-bench-pr10:
-	$(GO) run ./cmd/hta-bench -fig pr10 -runs 5 -gate -json BENCH_PR10.json
 
 # The multi-process cluster smoke: 3 hta-server nodes + a gateway on
 # ephemeral ports, churn replay, conservation, clean SIGTERM shutdown.

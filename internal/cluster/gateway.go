@@ -52,6 +52,9 @@ import (
 // the ring — there is nowhere left to route.
 var ErrNoNodes = errors.New("cluster: no live nodes")
 
+// frameMaxOps caps the ops a peer coalesces into one frame.
+const frameMaxOps = 64
+
 // PeerSpec names one cluster member and its base URL.
 type PeerSpec struct {
 	Name string
@@ -67,8 +70,6 @@ type GatewayConfig struct {
 	// pooled keep-alive transport sized for the pipelining window, so
 	// frames reuse persistent connections instead of dialing per request.
 	HTTPClient *http.Client
-	// MaxBatch caps the ops coalesced into one frame (default 64).
-	MaxBatch int
 	// Window caps the frames in flight per peer (default 4) — pipelining,
 	// so one slow response does not stall the queue behind it.
 	Window int
@@ -209,9 +210,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("cluster: gateway needs >= 1 peer")
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
 	if cfg.Window <= 0 {
 		cfg.Window = 4
 	}
@@ -260,7 +258,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		}
 		names = append(names, ps.Name)
 		peers[ps.Name] = newPeer(ps.Name, strings.TrimRight(ps.URL, "/"), cfg.HTTPClient,
-			cfg.Registry, cfg.MaxBatch, cfg.Window, cfg.FrameRetries, cfg.RetryBackoff)
+			cfg.Registry, frameMaxOps, cfg.Window, cfg.FrameRetries, cfg.RetryBackoff)
 	}
 	live, err := newMembers(names, cfg.VirtualNodes)
 	if err != nil {
@@ -906,7 +904,7 @@ func (g *Gateway) AddNode(name, url string) error {
 	}
 	g.mu.Unlock()
 	p := newPeer(name, strings.TrimRight(url, "/"), g.cfg.HTTPClient,
-		g.reg, g.cfg.MaxBatch, g.cfg.Window, g.cfg.FrameRetries, g.cfg.RetryBackoff)
+		g.reg, frameMaxOps, g.cfg.Window, g.cfg.FrameRetries, g.cfg.RetryBackoff)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	h, err := p.health(ctx)
 	cancel()

@@ -12,8 +12,9 @@
 //     allocation. Counter.Add and Gauge.Set are one CAS loop each;
 //     Histogram.Observe is a bucket search over a small sorted slice plus
 //     four atomics. The solver records phase timings on every run, the
-//     streaming assigner on every event; the budget is < 2% of the
-//     hta-bench -fig pr2 workload (measured by -fig pr3, BENCH_PR3.json).
+//     streaming assigner on every event. The cost is pinned as a count:
+//     cluster.TestObservabilityAddsNoAllocsPerOp requires enabled metrics
+//     to add no allocation per offer+complete.
 //  3. Reads (snapshots, renders) may take locks and allocate — scrapes
 //     are rare next to writes.
 //
@@ -42,8 +43,8 @@ var enabled atomic.Bool
 func init() { enabled.Store(true) }
 
 // SetEnabled turns all metric writes on or off globally. Disabling reduces
-// every Add/Set/Observe to a single atomic load — the knob the obs-overhead
-// benchmark (hta-bench -fig pr3) flips to measure instrumentation cost.
+// every Add/Set/Observe to a single atomic load — the knob overhead
+// measurements flip to compare instrumented and bare runs.
 func SetEnabled(on bool) { enabled.Store(on) }
 
 // Enabled reports whether metric writes are currently recorded.

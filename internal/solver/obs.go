@@ -10,9 +10,9 @@ import (
 )
 
 // Solver telemetry, registered on the process-wide obs registry. The
-// instruments are always on — every write is a few atomic operations, and
-// hta-bench -fig pr3 holds the total under 2% of a full solve — with
-// obs.SetEnabled(false) as the global kill switch.
+// instruments are always on — every write is a few atomic operations,
+// and a solve makes a handful of them — with obs.SetEnabled(false) as the
+// global kill switch.
 var (
 	phasePrecompute = phaseHist("precompute")
 	phaseMatching   = phaseHist("matching")
