@@ -296,7 +296,7 @@ func BenchmarkAblationLSAP(b *testing.B) {
 }
 
 // BenchmarkAblationMatching compares the two ½-approximate matchers for
-// the diversity matching M_B: edge-sorting greedy vs memory-light suitor.
+// the diversity matching M_B: edge-list greedy vs memory-light suitor.
 func BenchmarkAblationMatching(b *testing.B) {
 	in := benchInstance(b, 600, 30, 10)
 	n := in.NumTasks()

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/crowd"
+	"github.com/htacs/ata/internal/solver"
 )
 
 // tinyOptions shrink the paper's sweeps hard so tests stay quick.
@@ -49,31 +51,53 @@ func TestSweepTasksGREFasterAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium-scale sweep")
 	}
-	// Since the class-collapsed LSAP (PR 2), the exact assignment step no
-	// longer dominates HTA-APP: the cubic Hungarian dropped to
-	// O(|T|²·|W|), leaving both algorithms bounded by the shared O(|T|²)
-	// pipeline — the sweep now asserts the inversion of the old
-	// LSAP-dominates invariant.
-	rows, err := SweepTasks(Options{Scale: 0.12, Runs: 1, Seed: 7})
+	// GRE differs from APP only in its LSAP step, so at scale it must be
+	// the faster of the two. APP's exact LSAP must be the class-collapsed
+	// one (PR 2): O(|T|²·|W|) rather than the dense O(|T|³) Hungarian.
+	// Its share of APP's total no longer shows that — with the matching
+	// bucketed by weight level instead of sorted, the collapsed LSAP is
+	// the larger phase at these sizes — so the sweep's own APP row is set
+	// against a dense solve of the same instance.
+	o := Options{Scale: 0.12, Runs: 1, Seed: 7}
+	rows, err := SweepTasks(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var appTotal, appLSAP float64
+	var appTotal, greTotal float64
+	var smallest Row
 	for _, r := range rows {
+		if r.Algorithm == "hta-app" && (smallest.NumTasks == 0 || r.NumTasks < smallest.NumTasks) {
+			smallest = r
+		}
 		if r.NumTasks < 1000 {
 			continue // only the largest points are informative
 		}
-		if r.Algorithm == "hta-app" {
+		switch r.Algorithm {
+		case "hta-app":
 			appTotal += r.TotalSeconds
-			appLSAP += r.LSAPSeconds
+		case "hta-gre":
+			greTotal += r.TotalSeconds
 		}
 	}
-	if appLSAP == 0 || appTotal == 0 {
-		t.Fatal("sweep reported no APP timings at the largest sizes")
+	if appTotal == 0 || greTotal == 0 {
+		t.Fatal("sweep reported no timings at the largest sizes")
 	}
-	if appLSAP > appTotal/2 {
-		t.Errorf("exact LSAP phase (%.3fs) still dominates HTA-APP total (%.3fs) — class collapse not routed?", appLSAP, appTotal)
+	if greTotal >= appTotal {
+		t.Errorf("HTA-GRE total (%.3fs) not below HTA-APP total (%.3fs) at the largest sizes", greTotal, appTotal)
 	}
+	o.applyDefaults()
+	denseAPP := func(in *core.Instance, opts ...solver.Option) (*solver.Result, error) {
+		return solver.HTAAPP(in, append(opts, solver.WithDenseLSAP())...)
+	}
+	dense, err := measure(o, "hta-app-dense", denseAPP, smallest.NumGroups, smallest.NumTasks/smallest.NumGroups, smallest.NumWorkers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 4*smallest.LSAPSeconds > dense.LSAPSeconds {
+		t.Errorf("|T|=%d: APP's LSAP phase (%.4fs) is not 4× faster than the dense Hungarian (%.4fs) — class collapse not routed?",
+			smallest.NumTasks, smallest.LSAPSeconds, dense.LSAPSeconds)
+	}
+	t.Logf("|T|=%d LSAP: collapsed %.4fs, dense %.4fs", smallest.NumTasks, smallest.LSAPSeconds, dense.LSAPSeconds)
 }
 
 func TestSweepWorkersShape(t *testing.T) {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/htacs/ata/internal/metric"
+	"github.com/htacs/ata/internal/workload"
 )
 
 // tableWeights builds a WeightFunc from a symmetric upper-triangular map.
@@ -226,14 +229,33 @@ func TestQuickGreedyLocalDomination(t *testing.T) {
 	}
 }
 
+// BenchmarkGreedySort: distinct is n = 400 all-distinct random weights;
+// levels is the Jaccard distance over 100 workload groups × 10 tasks
+// (n = 1000), whose weights take a handful of values.
 func BenchmarkGreedySort(b *testing.B) {
 	r := rand.New(rand.NewSource(4))
-	n := 400
-	w := randWeights(r, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		GreedySort(n, w)
+	gen, err := workload.NewGenerator(workload.Config{Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks := gen.Tasks(100, 10)
+	jaccard := func(i, j int) float64 {
+		return metric.Jaccard{}.Distance(tasks[i].Keywords, tasks[j].Keywords)
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+		w    WeightFunc
+	}{
+		{"distinct", 400, randWeights(r, 400)},
+		{"levels", len(tasks), jaccard},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				GreedySort(c.n, c.w)
+			}
+		})
 	}
 }
 

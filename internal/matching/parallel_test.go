@@ -6,13 +6,17 @@ import (
 	"testing"
 )
 
-// TestGreedySortPParity: the parallel edge-list fill must yield exactly the
-// serial matching for any p, including p > n.
+// TestGreedySortPParity: the parallel weight fill must yield exactly the
+// serial matching for any p, including p > n, with distinct weights and
+// with three weight levels, where the edges share level buckets.
 func TestGreedySortPParity(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 30; trial++ {
 		n := r.Intn(40)
 		w := randWeights(r, n)
+		if trial%2 == 1 {
+			w = discreteWeights(r, n, 3)
+		}
 		serial := GreedySort(n, w)
 		for _, p := range []int{2, 4, 9, n + 3} {
 			got := GreedySortP(n, w, p)

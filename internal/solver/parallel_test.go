@@ -79,7 +79,8 @@ func TestPrecomputeTimeReporting(t *testing.T) {
 	}
 
 	// GRE-family below the size threshold: the gate skips the O(n²) fill
-	// the solver would never amortize (the BENCH_PR1 serial regression).
+	// the solver would never amortize (the serial regression recorded in
+	// `git show 3ba4234:BENCH_PR1.json`).
 	gated, err := HTAGRE(in, WithParallelism(2), WithRand(rand.New(rand.NewSource(5))))
 	if err != nil {
 		t.Fatal(err)

@@ -102,7 +102,7 @@ func WithoutTaskShuffle() Option { return func(c *config) { c.skipShuffle = true
 func AllowNonMetric() Option { return func(c *config) { c.allowNonMetric = true } }
 
 // WithMatcher overrides the algorithm used for the diversity matching M_B.
-// The default is matching.AutoP (sort-greedy below the edge-list memory
+// The default is matching.AutoP (bucketed greedy below the edge-list memory
 // threshold, suitor above; both are the same ½-approximate greedy) at the
 // run's parallelism level. An explicit matcher wins over WithParallelism for
 // the matching phase.
@@ -233,12 +233,13 @@ func HTAGRERel(in *core.Instance, opts ...Option) (*Result, error) {
 // WithParallelism on, the full O(|T|²) distance materialization only pays
 // for itself when the downstream solver re-reads enough pairs. GRE-family
 // solvers read each pair at most a handful of times and small instances
-// finish before the cache fill amortizes — BENCH_PR1.json recorded exactly
-// that serial regression (GRE slower WITH the kernel at every size). So run
-// precomputes eagerly only for non-greedy solvers on instances of at least
-// this many tasks; everything else computes distances on demand (the lazy
-// path is pure and thread-safe, so parallel phases stay correct without the
-// cache). WithEagerPrecompute restores the old unconditional behavior, and
+// finish before the cache fill amortizes — BENCH_PR1.json (`git show
+// 3ba4234:BENCH_PR1.json`) recorded exactly that serial regression (GRE
+// slower WITH the kernel at every size). So run precomputes eagerly only
+// for non-greedy solvers on instances of at least this many tasks;
+// everything else computes distances on demand (the lazy path is pure and
+// thread-safe, so parallel phases stay correct without the cache).
+// WithEagerPrecompute restores the old unconditional behavior, and
 // instances already carrying a cache (adaptive's cross-iteration kernel)
 // are unaffected. The threshold is documented in DESIGN.md.
 const precomputeMinTasks = 512
