@@ -312,12 +312,6 @@ func BenchmarkAblationMatching(b *testing.B) {
 			matching.Suitor(n, in.Diversity)
 		}
 	})
-	b.Run("pathgrowing", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matching.PathGrowing(n, in.Diversity)
-		}
-	})
 	b.Run("blossom-exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/htacs/ata/internal/bitset"
 	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/shard"
@@ -378,6 +379,65 @@ func TestClusterAllNodesDead(t *testing.T) {
 	}
 }
 
+// TestClusterFailoverSkipsExpiredOrphans: a task the dead node already
+// expired stays in the gateway's ledger (the ledger never learns of
+// node-side expiry), so failover must not requeue it onto a survivor —
+// it stays expired, and the expiry stays counted once the dead node's
+// own Expired leaves the gathered stats.
+func TestClusterFailoverSkipsExpiredOrphans(t *testing.T) {
+	tc := newTestCluster(t, 2, 1, 16, 2)
+	gw := tc.gw
+	workers, tasks := testWorkload(t, 11, 8, 1)
+	// No worker yet, both backlogs empty: the buffer walk's name
+	// tie-break parks the task on n0.
+	task := tasks[0]
+	task.Deadline = time.Now().Add(-time.Second).UnixNano()
+	if wid, err := gw.OfferTaskCtx(context.Background(), task); err != nil || wid != "" {
+		t.Fatalf("offer = %q, %v; want buffered", wid, err)
+	}
+	if got := tc.engines[0].BufferLen(); got != 1 {
+		t.Fatalf("n0 backlog %d, want the task parked there", got)
+	}
+	if n := tc.engines[0].ExpireOnce(time.Now().UnixNano()); n != 1 {
+		t.Fatalf("n0 expired %d tasks, want 1", n)
+	}
+	// Workers on both nodes: a requeue would find a free slot on n1.
+	for _, w := range workers {
+		if _, err := gw.AddWorkerCtx(context.Background(), w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tc.engines[1].Stats().Workers == 0 {
+		t.Fatal("no worker landed on n1; pick another workload seed")
+	}
+	before := checkConserved(t, gw, "before failover")
+	if before.Expired != 1 {
+		t.Fatalf("Expired = %d before failover, want 1", before.Expired)
+	}
+
+	tc.servers[0].Close()
+	gw.CheckHealth(context.Background())
+	if got := gw.Members(); len(got) != 1 || got[0] != "n1" {
+		t.Fatalf("members after failover = %v, want [n1]", got)
+	}
+	after := checkConserved(t, gw, "after failover")
+	if after.Expired != 1 || after.Active != 0 || after.Buffered != 0 {
+		t.Fatalf("expired task came back: Expired=%d Active=%d Buffered=%d",
+			after.Expired, after.Active, after.Buffered)
+	}
+	var doc mergedSnapshot
+	var buf bytes.Buffer
+	if err := gw.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Expired != 1 {
+		t.Fatalf("merged snapshot Expired = %d, want 1", doc.Expired)
+	}
+}
+
 func TestClusterJoinTakesNewWorkers(t *testing.T) {
 	tc := newTestCluster(t, 2, 1, 64, 2)
 	gw := tc.gw
@@ -522,7 +582,7 @@ func TestNodeFrameReplayDedup(t *testing.T) {
 	if _, err := eng.AddWorker(workers[0]); err != nil {
 		t.Fatal(err)
 	}
-	tw := taskToWire(tasks[0])
+	tw := shard.RecordOf(tasks[0])
 	frame := Frame{ID: "frame-replay-1", Ops: []Op{{Op: opCommit, Task: &tw}}}
 	post := func() FrameResult {
 		t.Helper()
@@ -565,6 +625,80 @@ func TestNodeFrameReplayDedup(t *testing.T) {
 		if st := eng.Stats(); st.Submitted != 2 {
 			t.Fatalf("second commit invisible: Submitted = %d", st.Submitted)
 		}
+	}
+}
+
+// TestFrameTaskRecord pins the one task record frames and snapshots
+// share: a task survives the frame round trip field for field, in the
+// bytes the snapshot form has always used, and a node refuses a record
+// whose universe is zero or whose keyword lies outside it.
+func TestFrameTaskRecord(t *testing.T) {
+	task := &core.Task{ID: "t1", Group: "g", Reward: 1.5,
+		Keywords: bitset.FromIndices(8, 1, 3), Deadline: 42}
+	rec := shard.RecordOf(task)
+	body, err := json.Marshal(Frame{ID: "f", Ops: []Op{{Op: opScore, Task: &rec}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"id":"f","ops":[{"op":"score","task":{"id":"t1","group":"g","reward":1.5,"universe":8,"keywords":[1,3],"deadline":42}}]}`
+	if string(body) != want {
+		t.Fatalf("frame bytes\n got  %s\n want %s", body, want)
+	}
+	var back Frame
+	if err := json.Unmarshal(body, &back); err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Ops[0].Task.Task()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != task.ID || got.Group != task.Group || got.Reward != task.Reward ||
+		got.Deadline != task.Deadline || !got.Keywords.Equal(task.Keywords) {
+		t.Fatalf("round trip: got %+v, want %+v", got, task)
+	}
+
+	eng, err := shard.New(shard.Config{
+		Shards: 1, StealInterval: -1,
+		Stream:   stream.Config{Xmax: 2, BufferLimit: 16},
+		Registry: obs.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	node, err := NewNode(NodeConfig{Name: "n0", Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(node)
+	defer srv.Close()
+	outside := shard.TaskRecord{ID: "b1", Universe: 8, Keywords: []int{2, 8}}
+	empty := shard.TaskRecord{ID: "b2", Universe: 0, Keywords: []int{}}
+	frame := Frame{ID: "bad", Ops: []Op{
+		{Op: opScore, Task: &outside}, {Op: opCommit, Task: &empty},
+		{Op: opBuffer, Task: &outside}, {Op: opBuffer, Task: &empty},
+	}}
+	body, _ = json.Marshal(frame)
+	resp, err := http.Post(srv.URL+"/cluster/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out FrameResult
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	wants := []string{"keyword 8 outside universe 8", "universe 0", "keyword 8 outside universe 8", "universe 0"}
+	if len(out.Results) != len(wants) {
+		t.Fatalf("%d results for %d ops", len(out.Results), len(wants))
+	}
+	for i, r := range out.Results {
+		if r.OK || !strings.Contains(r.Err, wants[i]) {
+			t.Errorf("op %d (%s): %+v, want refusal %q", i, frame.Ops[i].Op, r, wants[i])
+		}
+	}
+	if st := eng.Stats(); st.Submitted != 0 || st.Buffered != 0 {
+		t.Fatalf("refused records reached the engine: %+v", st)
 	}
 }
 

@@ -20,8 +20,9 @@
 // Membership is heartbeat-driven: the gateway probes each node and
 // removes unresponsive ones from the ring. The gateway keeps a ledger of
 // every in-flight task's owning node; when a node dies, its pending
-// tasks requeue onto the survivors, and the gateway's global accounting
-// (submitted = active + completed + buffered + dropped) keeps holding.
+// tasks requeue onto the survivors (or count expired when past their
+// deadline), and the gateway's global accounting (submitted = active +
+// completed + buffered + dropped + expired) keeps holding.
 package cluster
 
 import (
@@ -145,15 +146,16 @@ func newGwMetrics(r *obs.Registry) *gwMetrics {
 // makes the global accounting below exact.
 //
 // Accounting: the gateway owns Submitted (offers it accepted), Completed
-// (completions it routed), and its own Dropped (offers rejected
-// everywhere plus failed requeues); nodes own their internal drops
-// (worker-removal overflow), gathered live and absorbed at death. At
+// (completions it routed), its own Dropped (offers rejected everywhere
+// plus failed requeues) and its own Expired (dead nodes' orphans past
+// their deadline); nodes own their internal drops (worker-removal
+// overflow), gathered live and absorbed at death, and their expiries. At
 // quiescence the global conservation law Submitted = Active + Completed +
-// Buffered + Dropped holds across the whole cluster, including after node
-// failures. Two documented caveats: node-internal steal drops are
-// invisible to the ledger (run cluster nodes with the steal loop off),
-// and drops a node suffers between its last heartbeat and its death are
-// lost from the global count.
+// Buffered + Dropped + Expired holds across the whole cluster, including
+// after node failures. Two documented caveats: node-internal steal drops
+// are invisible to the ledger (run cluster nodes with the steal loop
+// off), and drops a node suffers between its last heartbeat and its
+// death are lost from the global count.
 type Gateway struct {
 	cfg     GatewayConfig
 	log     *slog.Logger
@@ -198,6 +200,7 @@ type Gateway struct {
 	submitted atomic.Int64
 	completed atomic.Int64
 	dropped   atomic.Int64 // gateway-level: total rejects + failed requeues
+	expired   atomic.Int64 // dead nodes' orphans past their deadline at failover
 
 	closed atomic.Bool
 	hbStop chan struct{}
@@ -440,33 +443,23 @@ func (g *Gateway) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error
 // opens one RPC span per scatter/commit/buffer leg, each propagated to
 // its node, so the stitched trace shows the whole routing fan-out.
 func (g *Gateway) routeTask(ctx context.Context, t *core.Task) (wid, node string, err error) {
-	peers := g.livePeers()
-	if len(peers) == 0 {
+	rec := shard.RecordOf(t)
+	// Nodes failing mid-scatter are not among the replies: route around
+	// them.
+	replies := g.broadcast(ctx, Op{Op: opScore, Task: &rec})
+	if len(replies) == 0 {
 		return "", "", ErrNoNodes
 	}
-	tw := taskToWire(t)
-	scoreOp := Op{Op: opScore, Task: &tw}
-	calls := make([]*call, len(peers))
-	for i, p := range peers {
-		calls[i] = p.doAsyncCtx(ctx, scoreOp)
+	bids := make([]shard.Bid, len(replies))
+	for i, r := range replies {
+		bids[i] = shard.Bid{Member: i, Gain: r.res.Gain, Rel: r.res.Rel, Free: r.res.Free, Backlog: r.res.Backlog}
 	}
-	bids := make([]shard.Bid, 0, len(peers))
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK {
-			continue // node failing mid-scatter: route around it
-		}
-		bids = append(bids, shard.Bid{Member: i, Gain: res.Gain, Rel: res.Rel, Free: res.Free, Backlog: res.Backlog})
-	}
-	if len(bids) == 0 {
-		return "", "", ErrNoNodes
-	}
-	// Members index the name-sorted peers, so ties break by node name.
-	commitOp := Op{Op: opCommit, Task: &tw}
-	bufferOp := Op{Op: opBuffer, Task: &tw}
+	// Members index the name-sorted replies, so ties break by node name.
+	commitOp := Op{Op: opCommit, Task: &rec}
+	bufferOp := Op{Op: opBuffer, Task: &rec}
 	i, _, err := shard.Place(bids,
 		func(i int) bool {
-			res, err := peers[i].doCtx(ctx, commitOp)
+			res, err := replies[i].peer.doCtx(ctx, commitOp)
 			if err != nil || !res.OK {
 				return false
 			}
@@ -474,13 +467,39 @@ func (g *Gateway) routeTask(ctx context.Context, t *core.Task) (wid, node string
 			return true
 		},
 		func(i int) bool {
-			res, err := peers[i].doCtx(ctx, bufferOp)
+			res, err := replies[i].peer.doCtx(ctx, bufferOp)
 			return err == nil && res.OK
 		})
 	if err != nil {
 		return "", "", err
 	}
-	return wid, peers[i].name, nil
+	return wid, replies[i].peer.name, nil
+}
+
+// reply is one live peer's successful answer to a broadcast op.
+type reply struct {
+	peer *peer
+	res  OpResult
+}
+
+// broadcast sends op to every live peer — one batched frame each, all
+// traveling concurrently — and returns the OK replies in sorted-name
+// order. A peer that fails or refuses is skipped: offers route around
+// it, and the gathers never half-count it (its drops are covered by the
+// lastDropped cache).
+func (g *Gateway) broadcast(ctx context.Context, op Op) []reply {
+	peers := g.livePeers()
+	calls := make([]*call, len(peers))
+	for i, p := range peers {
+		calls[i] = p.doAsyncCtx(ctx, op)
+	}
+	replies := make([]reply, 0, len(peers))
+	for i, p := range peers {
+		if res, err := p.wait(calls[i]); err == nil && res.OK {
+			replies = append(replies, reply{p, res})
+		}
+	}
+	return replies
 }
 
 // workerOp runs one op on the node that owns workerID — the path every
@@ -509,8 +528,8 @@ func (g *Gateway) workerOp(ctx context.Context, workerID string, op Op, onOK fun
 		onOK(p.name, res)
 	}
 	tasks := make([]*core.Task, 0, len(res.Tasks))
-	for _, tw := range res.Tasks {
-		t, err := wireToTask(tw)
+	for _, rec := range res.Tasks {
+		t, err := rec.Task()
 		if err != nil {
 			return OpResult{}, nil, err
 		}
@@ -566,7 +585,7 @@ func (g *Gateway) CompleteCtx(ctx context.Context, workerID, taskID string) (*co
 	}
 	// The pulled task moved buffer→active on the same node; its ledger
 	// entry already points there.
-	return wireToTask(*res.Next)
+	return res.Next.Task()
 }
 
 // ActiveTasks returns the worker's assigned tasks.
@@ -626,19 +645,9 @@ func (g *Gateway) Completed(workerID string) (int, error) {
 func (g *Gateway) WorkerIDs() []string {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
-	peers := g.livePeers()
-	calls := make([]*call, len(peers))
-	op := Op{Op: opWorkers}
-	for i, p := range peers {
-		calls[i] = p.doAsync(op)
-	}
 	var out []string
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK {
-			continue
-		}
-		out = append(out, res.IDs...)
+	for _, r := range g.broadcast(context.Background(), Op{Op: opWorkers}) {
+		out = append(out, r.res.IDs...)
 	}
 	return out
 }
@@ -647,19 +656,9 @@ func (g *Gateway) WorkerIDs() []string {
 func (g *Gateway) Objective() float64 {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
-	peers := g.livePeers()
-	calls := make([]*call, len(peers))
-	op := Op{Op: opObjective}
-	for i, p := range peers {
-		calls[i] = p.doAsync(op)
-	}
 	var total float64
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK {
-			continue
-		}
-		total += res.Value
+	for _, r := range g.broadcast(context.Background(), Op{Op: opObjective}) {
+		total += r.res.Value
 	}
 	return total
 }
@@ -668,41 +667,29 @@ func (g *Gateway) Objective() float64 {
 // accounting, renumbering per-shard entries into a global sequence.
 // Submitted/Completed come from the gateway's own counters; Dropped folds
 // the gateway's rejects, live nodes' internal drops, and the absorbed
-// counts of dead nodes.
+// counts of dead nodes; Expired adds the dead nodes' orphans that were
+// past their deadline at failover to the live nodes' expiries.
 func (g *Gateway) Stats() shard.Stats {
 	g.opGate.RLock()
 	defer g.opGate.RUnlock()
-	return g.statsLocked()
-}
-
-func (g *Gateway) statsLocked() shard.Stats {
 	st := shard.Stats{}
-	peers := g.livePeers()
-	calls := make([]*call, len(peers))
-	op := Op{Op: opStats}
-	for i, p := range peers {
-		calls[i] = p.doAsync(op)
-	}
 	var liveDropped int64
-	offset := 0
-	for i, p := range peers {
-		res, err := p.wait(calls[i])
-		if err != nil || !res.OK || res.Stats == nil {
-			continue // a failing node's drops are covered by its lastDropped cache
+	for _, r := range g.broadcast(context.Background(), Op{Op: opStats}) {
+		ns := r.res.Stats
+		if ns == nil {
+			continue
 		}
-		ns := *res.Stats
 		for _, ps := range ns.PerShard {
-			ps.Shard += offset
+			ps.Shard += st.Shards
 			st.PerShard = append(st.PerShard, ps)
 		}
-		offset += ns.Shards
 		st.Shards += ns.Shards
 		st.Workers += ns.Workers
 		st.Active += ns.Active
 		st.Buffered += ns.Buffered
 		st.Expired += ns.Expired
 		liveDropped += ns.Dropped
-		g.noteNodeDropped(p.name, ns.Dropped)
+		g.noteNodeDropped(r.peer.name, ns.Dropped)
 	}
 	g.mu.Lock()
 	dead := g.deadDropped
@@ -710,6 +697,7 @@ func (g *Gateway) statsLocked() shard.Stats {
 	st.Submitted = g.submitted.Load()
 	st.Completed = g.completed.Load()
 	st.Dropped = g.dropped.Load() + dead + liveDropped
+	st.Expired += g.expired.Load()
 	return st
 }
 
@@ -729,7 +717,8 @@ type mergedSnapshot struct {
 	Version   int            `json:"version"`
 	Submitted int64          `json:"submitted"`
 	Completed int64          `json:"completed"`
-	Dropped   int64          `json:"dropped"` // gateway rejects + absorbed dead-node drops
+	Dropped   int64          `json:"dropped"`           // gateway rejects + absorbed dead-node drops
+	Expired   int64          `json:"expired,omitempty"` // dead nodes' orphans expired at failover
 	Nodes     []nodeSnapshot `json:"nodes"`
 }
 
@@ -765,6 +754,7 @@ func (g *Gateway) Snapshot(w io.Writer) error {
 	doc.Submitted = g.submitted.Load()
 	doc.Completed = g.completed.Load()
 	doc.Dropped = g.dropped.Load() + dead
+	doc.Expired = g.expired.Load()
 	g.journal.Emit(ops.EventSnapshot, "gateway", "nodes", strconv.Itoa(len(doc.Nodes)))
 	buf, err := encodeJSON(&doc)
 	if err != nil {
@@ -816,7 +806,10 @@ func (g *Gateway) CheckHealth(ctx context.Context) {
 // last known internal drop count, fails its queued RPC, unpins its
 // workers, and requeues its pending tasks onto the survivors. Requeued
 // tasks do not re-count Submitted — they were counted when first
-// accepted; requeues that fail everywhere count Dropped.
+// accepted; requeues that fail everywhere count Dropped. An orphan past
+// its deadline is not requeued but counted Expired: the ledger never
+// learns of node-side expiry, so it still holds every task the dead node
+// expired, and the dead node's own Expired count leaves Stats with it.
 func (g *Gateway) dropNode(name string) {
 	// Heartbeat-only caller: safe to take the op gate for read (requeue
 	// routes ops), which also serializes failover against snapshots.
@@ -855,8 +848,14 @@ func (g *Gateway) dropNode(name string) {
 		}
 	}
 	g.ledgerMu.Unlock()
-	requeued, lost := 0, 0
+	requeued, lost, expired := 0, 0, 0
+	now := time.Now().UnixNano()
 	for _, t := range orphans {
+		if t.Deadline > 0 && t.Deadline <= now {
+			g.expired.Add(1)
+			expired++
+			continue
+		}
 		_, node, err := g.routeTask(context.Background(), t)
 		if err != nil {
 			g.seenMu.Lock()
@@ -876,11 +875,12 @@ func (g *Gateway) dropNode(name string) {
 	g.journal.Emit(ops.EventFailover, name,
 		"live", strconv.Itoa(live),
 		"requeued", strconv.Itoa(requeued),
-		"lost", strconv.Itoa(lost))
+		"lost", strconv.Itoa(lost),
+		"expired", strconv.Itoa(expired))
 	g.journal.Emit(ops.EventRepartition, name,
 		"reason", "failover", "live", strconv.Itoa(live))
 	g.log.Warn("cluster node dropped",
-		"node", name, "live", live, "requeued", requeued, "lost", lost)
+		"node", name, "live", live, "requeued", requeued, "lost", lost, "expired", expired)
 }
 
 // AddNode joins a fresh member to the ring. The node is probed once

@@ -217,39 +217,25 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		return r
 	}
 	switch op.Op {
-	case opScore:
+	case opScore, opCommit, opBuffer:
 		if op.Task == nil {
-			return fail(errors.New("cluster: score without task"))
+			return fail(fmt.Errorf("cluster: %s without task", op.Op))
 		}
-		t, err := wireToTask(*op.Task)
+		t, err := op.Task.Task()
 		if err != nil {
 			return fail(err)
 		}
 		trace.Event(ctx, "node.decode", trace.Str("task", t.ID))
-		gain, rel, free := n.eng.BestGain(t)
-		trace.Event(ctx, "node.score", trace.Float("gain", gain), trace.Bool("free", free))
-		return OpResult{OK: true, Gain: gain, Rel: rel, Free: free, Backlog: n.eng.BufferLen()}
-	case opCommit:
-		if op.Task == nil {
-			return fail(errors.New("cluster: commit without task"))
+		switch op.Op {
+		case opScore:
+			gain, rel, free := n.eng.BestGain(t)
+			trace.Event(ctx, "node.score", trace.Float("gain", gain), trace.Bool("free", free))
+			return OpResult{OK: true, Gain: gain, Rel: rel, Free: free, Backlog: n.eng.BufferLen()}
+		case opCommit:
+			wid, ok := n.eng.TryAssign(t)
+			trace.Event(ctx, "node.commit", trace.Str("worker", wid), trace.Bool("ok", ok))
+			return OpResult{OK: ok, WorkerID: wid}
 		}
-		t, err := wireToTask(*op.Task)
-		if err != nil {
-			return fail(err)
-		}
-		trace.Event(ctx, "node.decode", trace.Str("task", t.ID))
-		wid, ok := n.eng.TryAssign(t)
-		trace.Event(ctx, "node.commit", trace.Str("worker", wid), trace.Bool("ok", ok))
-		return OpResult{OK: ok, WorkerID: wid}
-	case opBuffer:
-		if op.Task == nil {
-			return fail(errors.New("cluster: buffer without task"))
-		}
-		t, err := wireToTask(*op.Task)
-		if err != nil {
-			return fail(err)
-		}
-		trace.Event(ctx, "node.decode", trace.Str("task", t.ID))
 		if err := n.eng.BufferAny(t); err != nil {
 			return fail(err)
 		}
@@ -261,8 +247,8 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		}
 		r := OpResult{OK: true}
 		if next != nil {
-			tw := taskToWire(next)
-			r.Next = &tw
+			rec := shard.RecordOf(next)
+			r.Next = &rec
 		}
 		return r
 	case opAddWorker:
@@ -278,19 +264,19 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(drained)}
+		return OpResult{OK: true, Tasks: tasksToRecords(drained)}
 	case opRemoveWorker:
 		dropped, err := n.eng.RemoveWorkerCtx(ctx, op.WorkerID)
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(dropped)}
+		return OpResult{OK: true, Tasks: tasksToRecords(dropped)}
 	case opActiveTasks:
 		tasks, err := n.eng.ActiveTasks(op.WorkerID)
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(tasks)}
+		return OpResult{OK: true, Tasks: tasksToRecords(tasks)}
 	case opWorker:
 		wk, err := n.eng.Worker(op.WorkerID)
 		if err != nil {
@@ -312,7 +298,7 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 		if err != nil {
 			return fail(err)
 		}
-		return OpResult{OK: true, Tasks: tasksToWire(drained)}
+		return OpResult{OK: true, Tasks: tasksToRecords(drained)}
 	case opTrust:
 		v, err := n.eng.Trust(op.WorkerID)
 		if err != nil {
@@ -345,13 +331,13 @@ func (n *Node) applyOp(ctx context.Context, op *Op) OpResult {
 	}
 }
 
-func tasksToWire(ts []*core.Task) []taskWire {
+func tasksToRecords(ts []*core.Task) []shard.TaskRecord {
 	if len(ts) == 0 {
 		return nil
 	}
-	out := make([]taskWire, 0, len(ts))
+	out := make([]shard.TaskRecord, 0, len(ts))
 	for _, t := range ts {
-		out = append(out, taskToWire(t))
+		out = append(out, shard.RecordOf(t))
 	}
 	return out
 }

@@ -46,39 +46,6 @@ const (
 	codeClosed = "closed"      // shard.ErrClosed
 )
 
-// taskWire is a task on the wire: (universe, indices) keyword pairs, the
-// same representation the workload files and shard snapshots use.
-type taskWire struct {
-	ID       string  `json:"id"`
-	Group    string  `json:"group,omitempty"`
-	Reward   float64 `json:"reward,omitempty"`
-	Universe int     `json:"universe"`
-	Keywords []int   `json:"keywords"`
-	// Deadline is the absolute UnixNano expiry (0 = never); omitted for
-	// undeadlined tasks so pre-deadline peers parse the frame unchanged.
-	Deadline int64 `json:"deadline,omitempty"`
-}
-
-func taskToWire(t *core.Task) taskWire {
-	return taskWire{ID: t.ID, Group: t.Group, Reward: t.Reward,
-		Universe: t.Keywords.Len(), Keywords: t.Keywords.Indices(),
-		Deadline: t.Deadline}
-}
-
-func wireToTask(s taskWire) (*core.Task, error) {
-	if s.Universe < 1 {
-		return nil, fmt.Errorf("cluster: task %q: universe %d", s.ID, s.Universe)
-	}
-	for _, k := range s.Keywords {
-		if k < 0 || k >= s.Universe {
-			return nil, fmt.Errorf("cluster: task %q: keyword %d outside universe %d", s.ID, k, s.Universe)
-		}
-	}
-	return &core.Task{ID: s.ID, Group: s.Group, Reward: s.Reward,
-		Keywords: bitset.FromIndices(s.Universe, s.Keywords...),
-		Deadline: s.Deadline}, nil
-}
-
 // workerWire is a worker on the wire.
 type workerWire struct {
 	ID       string  `json:"id"`
@@ -119,11 +86,11 @@ type SpanRef struct {
 
 // Op is one operation inside a frame.
 type Op struct {
-	Op       string      `json:"op"`
-	Task     *taskWire   `json:"task,omitempty"`
-	TaskID   string      `json:"task_id,omitempty"`
-	Worker   *workerWire `json:"worker,omitempty"`
-	WorkerID string      `json:"worker_id,omitempty"`
+	Op       string            `json:"op"`
+	Task     *shard.TaskRecord `json:"task,omitempty"`
+	TaskID   string            `json:"task_id,omitempty"`
+	Worker   *workerWire       `json:"worker,omitempty"`
+	WorkerID string            `json:"worker_id,omitempty"`
 	// Trust carries the value of a set_trust op (pointer so 0 — quarantine
 	// — survives omitempty semantics).
 	Trust *float64 `json:"trust,omitempty"`
@@ -147,14 +114,14 @@ type OpResult struct {
 	Backlog int     `json:"backlog,omitempty"`
 
 	// commit / complete / worker reads
-	WorkerID string       `json:"worker_id,omitempty"`
-	Next     *taskWire    `json:"next,omitempty"`
-	Tasks    []taskWire   `json:"tasks,omitempty"`
-	Worker   *workerWire  `json:"worker,omitempty"`
-	Count    int          `json:"count,omitempty"`
-	IDs      []string     `json:"ids,omitempty"`
-	Stats    *shard.Stats `json:"stats,omitempty"`
-	Value    float64      `json:"value,omitempty"`
+	WorkerID string             `json:"worker_id,omitempty"`
+	Next     *shard.TaskRecord  `json:"next,omitempty"`
+	Tasks    []shard.TaskRecord `json:"tasks,omitempty"`
+	Worker   *workerWire        `json:"worker,omitempty"`
+	Count    int                `json:"count,omitempty"`
+	IDs      []string           `json:"ids,omitempty"`
+	Stats    *shard.Stats       `json:"stats,omitempty"`
+	Value    float64            `json:"value,omitempty"`
 	// Until answers a window read. Its own int64 field, not Value: a
 	// UnixNano does not fit float64 exactly.
 	Until int64 `json:"until,omitempty"`

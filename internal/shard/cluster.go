@@ -1,11 +1,11 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"time"
 
 	"github.com/htacs/ata/internal/core"
-	"github.com/htacs/ata/internal/stream"
 )
 
 // Cluster-support surface: the same scatter/commit/buffer primitives the
@@ -22,13 +22,12 @@ import (
 //   - BufferAny is the node's buffer fallback: park the task on the
 //     least backlogged local shard.
 //
-// Deduplication is split the same way it is between engine and assigner:
-// the cluster router owns the global filter, while these methods still
-// register accepted tasks locally so the node's own OfferTask path stays
-// coherent. Accepted tasks count toward this engine's Submitted, so the
-// per-node conservation law (submitted = active + completed + buffered +
-// dropped) keeps holding when traffic arrives over RPC instead of the
-// local API.
+// The cluster router owns the global duplicate filter and these methods
+// do not consult the engine's; they still register accepted tasks in it,
+// so the node's own OfferTask refuses them too. Accepted tasks count
+// toward this engine's Submitted, so the per-node conservation law
+// (submitted = active + completed + buffered + dropped) keeps holding
+// when traffic arrives over RPC instead of the local API.
 
 // BestGain scores t against every shard's workers (read-only, concurrent
 // across shards) and returns the top-ranked shard's marginal gain and
@@ -65,20 +64,12 @@ func (e *Engine) TryAssign(t *core.Task) (wid string, ok bool) {
 	}
 	start := time.Now()
 	defer func() { e.metrics.RouteLatency.Observe(time.Since(start).Seconds()) }()
-	if len(e.actors) == 1 {
-		// The assigner scores and commits in one call.
-		e.actors[0].call(func(asn *stream.Assigner) { wid, ok = asn.TryAssign(t) })
-	} else {
-		_, ok, _ = Place(e.score(t), func(s int) bool {
-			var committed bool
-			e.actors[s].call(func(asn *stream.Assigner) { wid, committed = asn.TryAssign(t) })
-			return committed
-		}, nil)
+	wid, _, _, _, err = e.route(context.Background(), t, false)
+	if err != nil {
+		return "", false
 	}
-	if ok {
-		e.noteSubmitted(t.ID)
-	}
-	return wid, ok
+	e.noteSubmitted(t.ID)
+	return wid, true
 }
 
 // BufferAny parks t on the least backlogged shard's buffer without
@@ -107,7 +98,5 @@ func (e *Engine) BufferAny(t *core.Task) error {
 func (e *Engine) noteSubmitted(id string) {
 	e.submitted.Add(1)
 	e.metrics.Submitted.Inc()
-	if len(e.actors) > 1 {
-		e.markSeen(id)
-	}
+	e.markSeen(id)
 }

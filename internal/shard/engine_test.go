@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/htacs/ata/internal/core"
@@ -240,9 +241,11 @@ func TestRemoveWorkerRequeuesAcrossEngine(t *testing.T) {
 }
 
 // TestOneShardDeterminism pins the degenerate case the whole design hangs
-// off: with 1 shard the engine is event-for-event identical to the bare
-// stream.Assigner — same assignments, same drains, same pulls, same
-// errors — for an arbitrary seeded event stream including churn.
+// off: with 1 shard the engine's general route (score → Place → commit or
+// buffer, under the engine's duplicate filter) is event-for-event
+// identical to the bare stream.Assigner — same assignments, same drains,
+// same pulls, same errors — for an arbitrary seeded event stream
+// including churn and re-offers of assigned, buffered and rejected IDs.
 func TestOneShardDeterminism(t *testing.T) {
 	const seed = 42
 	bare := func() *stream.Assigner {
@@ -264,6 +267,11 @@ func TestOneShardDeterminism(t *testing.T) {
 	present := []string{} // workers added to both
 	type pair struct{ wid, tid string }
 	var activePairs []pair
+	// Offered IDs by the outcome of their first offer: re-offering an
+	// assigned or buffered ID is a duplicate; an ID rejected with
+	// ErrBufferFull left the filter and may come back.
+	var assignedIDs, bufferedIDs, rejected []*core.Task
+	var reAssigned, reBuffered, reAccepted int
 
 	step := 0
 	check := func(what string, gotE, gotB any, errE, errB error) {
@@ -278,7 +286,7 @@ func TestOneShardDeterminism(t *testing.T) {
 
 	wi, ti := 0, 0
 	for step = 0; step < 400; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(12); {
 		case op < 2 && wi < len(workers): // arrive
 			w := workers[wi]
 			wi++
@@ -309,8 +317,53 @@ func TestOneShardDeterminism(t *testing.T) {
 			widE, errE := eng.OfferTask(task)
 			widB, errB := bare.OfferTask(task)
 			check("OfferTask", widE, widB, errE, errB)
-			if errE == nil && widE != "" {
+			switch {
+			case errors.Is(errE, stream.ErrBufferFull):
+				rejected = append(rejected, task)
+			case errE != nil:
+				t.Fatalf("step %d: fresh offer %s: %v", step, task.ID, errE)
+			case widE != "":
+				assignedIDs = append(assignedIDs, task)
 				activePairs = append(activePairs, pair{widE, task.ID})
+			default:
+				bufferedIDs = append(bufferedIDs, task)
+			}
+		case op >= 10: // re-offer an ID already offered
+			kind := rng.Intn(3)
+			pool := [][]*core.Task{assignedIDs, bufferedIDs, rejected}[kind]
+			if len(pool) == 0 {
+				continue
+			}
+			k := rng.Intn(len(pool))
+			task := pool[k]
+			widE, errE := eng.OfferTask(task)
+			widB, errB := bare.OfferTask(task)
+			check("re-OfferTask", widE, widB, errE, errB)
+			switch kind {
+			case 0, 1:
+				if errE == nil || !strings.Contains(errE.Error(), "duplicate") {
+					t.Fatalf("step %d: re-offer of held %s: err %v, want duplicate", step, task.ID, errE)
+				}
+				if kind == 0 {
+					reAssigned++
+				} else {
+					reBuffered++
+				}
+			case 2:
+				if errors.Is(errE, stream.ErrBufferFull) {
+					continue // still no room: stays rejected
+				}
+				if errE != nil {
+					t.Fatalf("step %d: re-offer of rejected %s: %v", step, task.ID, errE)
+				}
+				reAccepted++
+				rejected = append(rejected[:k], rejected[k+1:]...)
+				if widE != "" {
+					assignedIDs = append(assignedIDs, task)
+					activePairs = append(activePairs, pair{widE, task.ID})
+				} else {
+					bufferedIDs = append(bufferedIDs, task)
+				}
 			}
 		case len(activePairs) > 0: // complete
 			k := rng.Intn(len(activePairs))
@@ -323,6 +376,10 @@ func TestOneShardDeterminism(t *testing.T) {
 				activePairs = append(activePairs, pair{p.wid, nextE.ID})
 			}
 		}
+	}
+	if reAssigned == 0 || reBuffered == 0 || reAccepted == 0 {
+		t.Fatalf("event mix missed a re-offer kind: assigned %d, buffered %d, rejected-then-accepted %d",
+			reAssigned, reBuffered, reAccepted)
 	}
 	if eng.BufferLen() != bare.BufferLen() {
 		t.Fatalf("final backlog: engine %d vs bare %d", eng.BufferLen(), bare.BufferLen())

@@ -11,9 +11,10 @@
 // in Crowdsourcing Markets): the greedy choice argmax_q Δ(q, k) over all
 // workers equals the max over per-shard maxima, so partitioning workers
 // preserves the objective exactly — only the *interleaving* of concurrent
-// events can differ from the serial order, never the per-event rule. With
-// one shard the engine routes directly through the one Assigner, making
-// it event-for-event identical to the bare stream.Assigner (tested).
+// events can differ from the serial order, never the per-event rule. Every
+// offer takes the same path at every shard count: a 1-shard engine is the
+// protocol below over one member, and it is event-for-event identical to
+// the bare stream.Assigner (tested).
 //
 // Protocol per arriving task (OfferTask):
 //
@@ -41,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,9 +59,9 @@ var ErrClosed = errors.New("shard: engine closed")
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Shards is the number of partitions (>= 1). With 1 shard the engine
-	// degenerates to a mailbox-wrapped stream.Assigner and work stealing
-	// is disabled.
+	// Shards is the number of partitions (>= 1). One shard routes through
+	// the same scatter/commit/buffer path as many; only work stealing is
+	// disabled.
 	Shards int
 	// VirtualNodes is the ring points per shard (default 64).
 	VirtualNodes int
@@ -140,8 +140,9 @@ type Engine struct {
 	live   sync.RWMutex
 	closed bool
 
-	// seen is the global duplicate-task filter: a task lives on exactly
-	// one shard, so per-shard filters cannot see cross-shard duplicates.
+	// seen is the engine's one duplicate-task filter, at every shard
+	// count: a task lives on exactly one shard, so only an engine-wide
+	// filter sees cross-shard duplicates.
 	seenMu sync.Mutex
 	seen   map[string]struct{}
 
@@ -410,30 +411,6 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 		return "", errors.New("shard: task with empty ID")
 	}
 
-	// Single shard: route straight through the one assigner so behaviour
-	// (selection, dedup, buffering, metrics) is exactly the bare
-	// stream.Assigner's — the determinism test pins this.
-	if len(e.actors) == 1 {
-		var wid string
-		start := time.Now()
-		e.actors[0].call(func(asn *stream.Assigner) { wid, err = asn.OfferTask(t) })
-		e.metrics.RouteLatency.Observe(time.Since(start).Seconds())
-		switch {
-		case err == nil:
-			e.submitted.Add(1)
-			e.metrics.Submitted.Inc()
-			if e.forecast != nil {
-				e.forecast[0].RecordArrivals(1)
-			}
-		case errors.Is(err, stream.ErrBufferFull):
-			e.submitted.Add(1)
-			e.metrics.Submitted.Inc()
-			e.offerDropped.Add(1)
-			e.metrics.Dropped.Inc()
-		}
-		return wid, err
-	}
-
 	// Global dedup: a task lives on exactly one shard, so the duplicate
 	// filter must be engine-wide.
 	e.seenMu.Lock()
@@ -448,7 +425,7 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 
 	ctx, span := trace.Start(ctx, "shard.route", trace.Str("task", t.ID))
 	start := time.Now()
-	wid, shardID, attempts, buffered, err := e.route(ctx, t)
+	wid, shardID, attempts, buffered, err := e.route(ctx, t, true)
 	e.metrics.RouteLatency.Observe(time.Since(start).Seconds())
 	span.SetAttrs(trace.Int("shard", shardID), trace.Int("attempts", attempts),
 		trace.Bool("buffered", buffered), trace.Str("worker", wid))
@@ -469,9 +446,13 @@ func (e *Engine) OfferTaskCtx(ctx context.Context, t *core.Task) (string, error)
 }
 
 // route runs the placement rule (Place) over the shards' bids: commit on
-// the free shards in rank order, else buffer on the least backlogged.
-// Caller holds the liveness read-lock.
-func (e *Engine) route(ctx context.Context, t *core.Task) (wid string, shardID, attempts int, buffered bool, err error) {
+// the free shards in rank order, else, when buffer is set, buffer on the
+// least backlogged. Caller holds the liveness read-lock.
+func (e *Engine) route(ctx context.Context, t *core.Task, buffer bool) (wid string, shardID, attempts int, buffered bool, err error) {
+	var bufferOn func(int) bool
+	if buffer {
+		bufferOn = e.bufferOn(t)
+	}
 	shardID, committed, err := Place(e.score(t),
 		func(s int) bool {
 			attempts++
@@ -485,26 +466,37 @@ func (e *Engine) route(ctx context.Context, t *core.Task) (wid string, shardID, 
 			}
 			return ok
 		},
-		e.bufferOn(t))
+		bufferOn)
 	return wid, shardID, attempts, err == nil && !committed, err
 }
 
 // score is the scatter phase: every shard bids its best free worker's
 // marginal gain for t (read-only, concurrent across shards).
 func (e *Engine) score(t *core.Task) []Bid {
-	replies := make(chan Bid, len(e.actors)) // buffered: actors never block on reply
-	for _, a := range e.actors {
-		a := a
+	return gather(e, func(a *actor) Bid {
+		g, r, ok := a.asn.BestGain(t)
+		return Bid{Member: a.id, Gain: g, Rel: r, Free: ok, Backlog: a.asn.Backlog()}
+	})
+}
+
+// gather runs fn on every shard actor concurrently and returns the
+// results in shard order — the one scatter-gather over the actor pool.
+// Each actor writes only its own slot, and the channel receives order
+// those writes before the caller reads them. Caller holds the liveness
+// read-lock.
+func gather[T any](e *Engine, fn func(a *actor) T) []T {
+	out := make([]T, len(e.actors))
+	done := make(chan struct{}, len(e.actors)) // buffered: actors never block on reply
+	for i, a := range e.actors {
 		a.send(func() {
-			g, r, ok := a.asn.BestGain(t)
-			replies <- Bid{Member: a.id, Gain: g, Rel: r, Free: ok, Backlog: a.asn.Backlog()}
+			out[i] = fn(a)
+			done <- struct{}{}
 		})
 	}
-	bids := make([]Bid, len(e.actors))
-	for i := range bids {
-		bids[i] = <-replies
+	for range e.actors {
+		<-done
 	}
-	return bids
+	return out
 }
 
 // bufferOn is Place's buffer step for t: park it on the given shard.
@@ -549,60 +541,37 @@ func (e *Engine) CompleteCtx(ctx context.Context, workerID, taskID string) (*cor
 	return next, err
 }
 
-// Active returns the worker's assigned task IDs.
-func (e *Engine) Active(workerID string) ([]string, error) {
+// ownerCall runs fn with workerID on the actor that owns the worker,
+// under the liveness read-lock — the path every per-worker accessor
+// shares.
+func ownerCall[T any](e *Engine, workerID string, fn func(asn *stream.Assigner, workerID string) (T, error)) (v T, err error) {
 	release, err := e.begin()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	defer release()
-	var out []string
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		out, err = asn.Active(workerID)
-	})
-	return out, err
+	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) { v, err = fn(asn, workerID) })
+	return v, err
+}
+
+// Active returns the worker's assigned task IDs.
+func (e *Engine) Active(workerID string) ([]string, error) {
+	return ownerCall(e, workerID, (*stream.Assigner).Active)
 }
 
 // ActiveTasks returns the worker's assigned tasks.
 func (e *Engine) ActiveTasks(workerID string) ([]*core.Task, error) {
-	release, err := e.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var out []*core.Task
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		out, err = asn.ActiveTasks(workerID)
-	})
-	return out, err
+	return ownerCall(e, workerID, (*stream.Assigner).ActiveTasks)
 }
 
 // Completed returns how many tasks the worker finished.
 func (e *Engine) Completed(workerID string) (int, error) {
-	release, err := e.begin()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	var n int
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		n, err = asn.Completed(workerID)
-	})
-	return n, err
+	return ownerCall(e, workerID, (*stream.Assigner).Completed)
 }
 
 // Trust returns the worker's trust multiplier on its owning shard.
 func (e *Engine) Trust(workerID string) (float64, error) {
-	release, err := e.begin()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	var v float64
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		v, err = asn.Trust(workerID)
-	})
-	return v, err
+	return ownerCall(e, workerID, (*stream.Assigner).Trust)
 }
 
 // SetTrust updates the worker's trust multiplier on its owning shard
@@ -610,16 +579,9 @@ func (e *Engine) Trust(workerID string) (float64, error) {
 // Config.Stream.WithTrust; lifting a quarantine drains that shard's
 // buffer into the worker and returns the tasks assigned).
 func (e *Engine) SetTrust(workerID string, trust float64) ([]*core.Task, error) {
-	release, err := e.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var drained []*core.Task
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		drained, err = asn.SetTrust(workerID, trust)
+	return ownerCall(e, workerID, func(asn *stream.Assigner, id string) ([]*core.Task, error) {
+		return asn.SetTrust(id, trust)
 	})
-	return drained, err
 }
 
 // SetWindow records the worker's declared availability-window end on its
@@ -627,13 +589,8 @@ func (e *Engine) SetTrust(workerID string, trust float64) ([]*core.Task, error) 
 // (Config.LearnWindows) the declaration also overrides the tracker's
 // estimate until the worker next departs.
 func (e *Engine) SetWindow(workerID string, until int64) error {
-	release, err := e.begin()
-	if err != nil {
-		return err
-	}
-	defer release()
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		err = asn.SetWindow(workerID, until)
+	_, err := ownerCall(e, workerID, func(asn *stream.Assigner, id string) (struct{}, error) {
+		return struct{}{}, asn.SetWindow(id, until)
 	})
 	if err == nil && e.windows != nil {
 		e.windows.Declare(workerID, until)
@@ -644,30 +601,12 @@ func (e *Engine) SetWindow(workerID string, until int64) error {
 // Window returns the worker's recorded availability-window end (0 =
 // unknown).
 func (e *Engine) Window(workerID string) (int64, error) {
-	release, err := e.begin()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	var until int64
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		until, err = asn.Window(workerID)
-	})
-	return until, err
+	return ownerCall(e, workerID, (*stream.Assigner).Window)
 }
 
 // Worker returns the registered worker record.
 func (e *Engine) Worker(workerID string) (*core.Worker, error) {
-	release, err := e.begin()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	var w *core.Worker
-	e.actors[e.ring.Lookup(workerID)].call(func(asn *stream.Assigner) {
-		w, err = asn.Worker(workerID)
-	})
-	return w, err
+	return ownerCall(e, workerID, (*stream.Assigner).Worker)
 }
 
 // BufferLen returns the total buffered backlog across shards (atomic
@@ -698,15 +637,9 @@ func (e *Engine) Objective() float64 {
 		return 0
 	}
 	defer release()
-	type r struct{ v float64 }
-	ch := make(chan r, len(e.actors))
-	for _, a := range e.actors {
-		a := a
-		a.send(func() { ch <- r{a.asn.Objective()} })
-	}
 	var total float64
-	for range e.actors {
-		total += (<-ch).v
+	for _, v := range gather(e, func(a *actor) float64 { return a.asn.Objective() }) {
+		total += v
 	}
 	return total
 }
@@ -757,31 +690,22 @@ func (e *Engine) Stats() Stats {
 		return st
 	}
 	defer release()
-	ch := make(chan ShardStats, len(e.actors))
-	for _, a := range e.actors {
-		a := a
-		a.send(func() {
-			s := ShardStats{
-				Shard:     a.id,
-				Workers:   a.asn.NumWorkers(),
-				Active:    a.asn.ActiveCount(),
-				Backlog:   a.asn.BufferLen(),
-				FreeSlots: a.asn.FreeCapacity(),
-				Completed: a.completed.Load(),
-				Dropped:   a.dropped.Load(),
-				Expired:   a.expired.Load(),
-			}
-			if e.forecast != nil {
-				s.Predicted = e.forecast[a.id].PredictedBacklog(s.Backlog, e.cfg.ForecastHorizon)
-			}
-			ch <- s
-		})
-	}
-	st.PerShard = make([]ShardStats, 0, len(e.actors))
-	for range e.actors {
-		st.PerShard = append(st.PerShard, <-ch)
-	}
-	sort.Slice(st.PerShard, func(i, j int) bool { return st.PerShard[i].Shard < st.PerShard[j].Shard })
+	st.PerShard = gather(e, func(a *actor) ShardStats {
+		s := ShardStats{
+			Shard:     a.id,
+			Workers:   a.asn.NumWorkers(),
+			Active:    a.asn.ActiveCount(),
+			Backlog:   a.asn.BufferLen(),
+			FreeSlots: a.asn.FreeCapacity(),
+			Completed: a.completed.Load(),
+			Dropped:   a.dropped.Load(),
+			Expired:   a.expired.Load(),
+		}
+		if e.forecast != nil {
+			s.Predicted = e.forecast[a.id].PredictedBacklog(s.Backlog, e.cfg.ForecastHorizon)
+		}
+		return s
+	})
 	for _, s := range st.PerShard {
 		st.Workers += s.Workers
 		st.Active += s.Active
@@ -805,22 +729,8 @@ func (e *Engine) WorkerIDs() []string {
 		return nil
 	}
 	defer release()
-	type r struct {
-		shard int
-		ids   []string
-	}
-	ch := make(chan r, len(e.actors))
-	for _, a := range e.actors {
-		a := a
-		a.send(func() { ch <- r{a.id, a.asn.WorkerIDs()} })
-	}
-	byShard := make([][]string, len(e.actors))
-	for range e.actors {
-		got := <-ch
-		byShard[got.shard] = got.ids
-	}
 	var out []string
-	for _, ids := range byShard {
+	for _, ids := range gather(e, func(a *actor) []string { return a.asn.WorkerIDs() }) {
 		out = append(out, ids...)
 	}
 	return out

@@ -10,27 +10,51 @@ import (
 	"github.com/htacs/ata/internal/stream"
 )
 
-// snapshot wire format. Keywords are serialized as (universe, indices)
-// pairs, the same representation the workload files use.
-type taskSnap struct {
+// TaskRecord is a task as JSON: keywords as a (universe, indices) pair,
+// the representation the workload files use. Engine snapshots and the
+// cluster's RPC frames carry tasks in this one form.
+type TaskRecord struct {
 	ID       string  `json:"id"`
 	Group    string  `json:"group,omitempty"`
 	Reward   float64 `json:"reward,omitempty"`
 	Universe int     `json:"universe"`
 	Keywords []int   `json:"keywords"`
 	// Deadline is the absolute UnixNano expiry (0 = never); omitted for
-	// undeadlined tasks so pre-deadline snapshots serialize identically.
+	// undeadlined tasks so pre-deadline documents serialize identically.
 	Deadline int64 `json:"deadline,omitempty"`
 }
 
+// RecordOf returns t's record.
+func RecordOf(t *core.Task) TaskRecord {
+	return TaskRecord{ID: t.ID, Group: t.Group, Reward: t.Reward,
+		Universe: t.Keywords.Len(), Keywords: t.Keywords.Indices(),
+		Deadline: t.Deadline}
+}
+
+// Task validates the record — a positive universe, every keyword inside
+// it — and rebuilds the task.
+func (r TaskRecord) Task() (*core.Task, error) {
+	if r.Universe < 1 {
+		return nil, fmt.Errorf("shard: task %q: universe %d", r.ID, r.Universe)
+	}
+	for _, k := range r.Keywords {
+		if k < 0 || k >= r.Universe {
+			return nil, fmt.Errorf("shard: task %q: keyword %d outside universe %d", r.ID, k, r.Universe)
+		}
+	}
+	return &core.Task{ID: r.ID, Group: r.Group, Reward: r.Reward,
+		Keywords: bitset.FromIndices(r.Universe, r.Keywords...),
+		Deadline: r.Deadline}, nil
+}
+
 type workerSnap struct {
-	ID       string     `json:"id"`
-	Alpha    float64    `json:"alpha"`
-	Beta     float64    `json:"beta"`
-	Universe int        `json:"universe"`
-	Keywords []int      `json:"keywords"`
-	Done     int        `json:"done"`
-	Active   []taskSnap `json:"active,omitempty"`
+	ID       string       `json:"id"`
+	Alpha    float64      `json:"alpha"`
+	Beta     float64      `json:"beta"`
+	Universe int          `json:"universe"`
+	Keywords []int        `json:"keywords"`
+	Done     int          `json:"done"`
+	Active   []TaskRecord `json:"active,omitempty"`
 	// Trust is the reputation multiplier; omitted (nil) when 1.0 so
 	// pre-trust snapshots and trust-free engines serialize identically.
 	Trust *float64 `json:"trust,omitempty"`
@@ -45,7 +69,7 @@ type shardSnap struct {
 	Dropped   int64        `json:"dropped"`
 	Expired   int64        `json:"expired,omitempty"`
 	Workers   []workerSnap `json:"workers"`
-	Buffer    []taskSnap   `json:"buffer,omitempty"`
+	Buffer    []TaskRecord `json:"buffer,omitempty"`
 }
 
 type engineSnap struct {
@@ -55,26 +79,6 @@ type engineSnap struct {
 	Dropped   int64       `json:"dropped"`
 	Expired   int64       `json:"expired,omitempty"`
 	PerShard  []shardSnap `json:"per_shard"`
-}
-
-func taskToSnap(t *core.Task) taskSnap {
-	return taskSnap{ID: t.ID, Group: t.Group, Reward: t.Reward,
-		Universe: t.Keywords.Len(), Keywords: t.Keywords.Indices(),
-		Deadline: t.Deadline}
-}
-
-func snapToTask(s taskSnap) (*core.Task, error) {
-	if s.Universe < 1 {
-		return nil, fmt.Errorf("shard: snapshot task %q: universe %d", s.ID, s.Universe)
-	}
-	for _, k := range s.Keywords {
-		if k < 0 || k >= s.Universe {
-			return nil, fmt.Errorf("shard: snapshot task %q: keyword %d outside universe %d", s.ID, k, s.Universe)
-		}
-	}
-	return &core.Task{ID: s.ID, Group: s.Group, Reward: s.Reward,
-		Keywords: bitset.FromIndices(s.Universe, s.Keywords...),
-		Deadline: s.Deadline}, nil
 }
 
 // Snapshot writes the engine state as one JSON document — the merge of
@@ -125,13 +129,13 @@ func (e *Engine) Snapshot(w io.Writer) error {
 					wsnap.Window = &wnd
 				}
 				for _, t := range active {
-					wsnap.Active = append(wsnap.Active, taskToSnap(t))
+					wsnap.Active = append(wsnap.Active, RecordOf(t))
 				}
 				ss.Workers = append(ss.Workers, wsnap)
 			}
 			bufScratch = a.asn.BufferedInto(bufScratch[:0])
 			for _, t := range bufScratch {
-				ss.Buffer = append(ss.Buffer, taskToSnap(t))
+				ss.Buffer = append(ss.Buffer, RecordOf(t))
 			}
 			snap.PerShard = append(snap.PerShard, ss)
 		}
@@ -231,7 +235,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 					}
 				}
 				for _, tsnap := range wsnap.Active {
-					t, terr := snapToTask(tsnap)
+					t, terr := tsnap.Task()
 					if terr != nil {
 						return terr
 					}
@@ -248,7 +252,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 		// go to the currently least backlogged shards.
 		for _, ss := range snap.PerShard {
 			for _, tsnap := range ss.Buffer {
-				t, terr := snapToTask(tsnap)
+				t, terr := tsnap.Task()
 				if terr != nil {
 					return terr
 				}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/htacs/ata/internal/core"
 	"github.com/htacs/ata/internal/obs"
 	"github.com/htacs/ata/internal/stream"
 )
@@ -141,6 +142,18 @@ func TestRestoreRepartitions(t *testing.T) {
 	before := e.Stats()
 	beforeView := workerView(t, e)
 	beforeObj := e.Objective()
+	// One held task of each kind, to check the restored duplicate filter.
+	held, err := e.ActiveTasks(e.WorkerIDs()[0])
+	if err != nil || len(held) == 0 {
+		t.Fatalf("first worker has no active tasks: %v", err)
+	}
+	var parked []*core.Task
+	for _, a := range e.actors {
+		a.call(func(asn *stream.Assigner) { parked = append(parked, asn.Buffered()...) })
+	}
+	if len(parked) == 0 {
+		t.Fatal("populated engine has no buffered tasks")
+	}
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -171,6 +184,13 @@ func TestRestoreRepartitions(t *testing.T) {
 		// with tolerance.
 		if diff := math.Abs(r.Objective() - beforeObj); diff > 1e-9 {
 			t.Fatalf("%d shards: objective drifted by %g", shards, diff)
+		}
+		// The engine's filter holds every restored ID at every shard
+		// count, active and buffered alike.
+		for _, task := range []*core.Task{held[0], parked[0]} {
+			if _, err := r.OfferTask(task); err == nil || !strings.Contains(err.Error(), "duplicate") {
+				t.Fatalf("%d shards: re-offer of restored %s: err %v, want duplicate", shards, task.ID, err)
+			}
 		}
 		r.Close()
 	}

@@ -112,7 +112,7 @@ type Assigner struct {
 	order   []string
 	states  []*workerState // aligned with order: hot loops iterate this, never the map
 	buffer  []*core.Task
-	seen    map[string]bool // task IDs ever accepted, to reject duplicates
+	seen    map[string]bool // task IDs OfferTask accepted, to reject duplicates
 	metrics *Metrics
 
 	// deadlined counts buffered tasks with a non-zero deadline, maintained
@@ -469,7 +469,8 @@ func (a *Assigner) Completed(workerID string) (int, error) {
 // cold workers start from work that matches their interests. Returns
 // ("", ...) when no worker has a free slot. OfferTask, TryAssign and
 // BestGain all route through this one selection rule, which is what makes
-// the 1-shard engine event-for-event identical to the bare Assigner.
+// the sharded engine — which scores with BestGain and commits with
+// TryAssign — event-for-event identical to the bare Assigner at 1 shard.
 //
 // Under Config.DeadlineAware a deadlined task first tries only workers
 // whose availability window (if known) outlasts the deadline — pinning
@@ -523,10 +524,11 @@ func (a *Assigner) BestGain(t *core.Task) (gain, rel float64, ok bool) {
 }
 
 // TryAssign assigns t to the best free worker under the same selection
-// rule as OfferTask, but never buffers on failure and does not consult
-// the duplicate-task set — in the sharded engine deduplication is global
-// (the router's job), and a task rejected here will be committed to
-// another shard. Returns ("", false) when no worker has a free slot.
+// rule as OfferTask, but never buffers on failure and neither reads nor
+// writes the duplicate-task set, which serves OfferTask alone: callers
+// that route through TryAssign (the sharded engine) own deduplication,
+// and a task rejected here will be committed to another shard. Returns
+// ("", false) when no worker has a free slot.
 func (a *Assigner) TryAssign(t *core.Task) (string, bool) {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return "", false
@@ -535,16 +537,15 @@ func (a *Assigner) TryAssign(t *core.Task) (string, bool) {
 	if id == "" {
 		return "", false
 	}
-	a.seen[t.ID] = true
 	a.assign(a.workers[id], t, rel)
 	return id, true
 }
 
 // BufferTask parks t in the buffer without attempting assignment — the
 // commit half of a routing decision that picked this shard as the least
-// loaded. Like TryAssign it skips the local duplicate check (global dedup
-// is the caller's job; a stolen task may legitimately return to a shard
-// that has seen it before). Returns ErrBufferFull beyond the limit.
+// loaded. Like TryAssign it leaves the duplicate-task set alone (dedup is
+// the caller's job; a stolen task may legitimately return to a shard
+// that has held it before). Returns ErrBufferFull beyond the limit.
 func (a *Assigner) BufferTask(t *core.Task) error {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return errors.New("stream: nil task or keywords")
@@ -552,7 +553,6 @@ func (a *Assigner) BufferTask(t *core.Task) error {
 	if len(a.buffer) >= a.cfg.BufferLimit {
 		return ErrBufferFull
 	}
-	a.seen[t.ID] = true
 	a.bufferAppend(t)
 	a.syncQueueGauge()
 	return nil
@@ -604,7 +604,8 @@ func (a *Assigner) TakeBufferedInto(n int, dst []*core.Task) []*core.Task {
 
 // ForceAssign places t directly on the named worker, bypassing the
 // selection rule — snapshot restore uses it to re-materialize active sets
-// exactly as they were. Capacity (C1) is still enforced.
+// exactly as they were. Capacity (C1) is still enforced; the
+// duplicate-task set is left to the caller, like TryAssign.
 func (a *Assigner) ForceAssign(workerID string, t *core.Task) error {
 	if t == nil || t.Keywords == nil || t.ID == "" {
 		return errors.New("stream: nil task or keywords")
@@ -616,7 +617,6 @@ func (a *Assigner) ForceAssign(workerID string, t *core.Task) error {
 	if len(ws.active) >= a.cfg.Xmax {
 		return fmt.Errorf("stream: worker %q is at capacity", workerID)
 	}
-	a.seen[t.ID] = true
 	a.assign(ws, t, metric.Relevance(a.cfg.Dist, t.Keywords, ws.worker.Keywords))
 	return nil
 }
